@@ -29,22 +29,6 @@
 
 namespace loas {
 
-/**
- * Intra-layer parallel execute engages only on layers with at least
- * this many output neurons — below it, fanning threads out costs more
- * than the joins themselves.
- */
-inline constexpr std::size_t kIntraMinItems = 256;
-
-/**
- * Work items gathered per intra-layer phase-A block. A block spans
- * several scheduler waves so each thread fan-out amortizes across
- * hundreds of joins; the size is a fixed constant (never derived from
- * the thread count) so block boundaries — and therefore results — are
- * identical at any thread count.
- */
-inline constexpr std::size_t kIntraBlockItems = 1024;
-
 /** An accelerator model that can run dual-sparse SNN layers. */
 class Accelerator
 {
@@ -99,23 +83,6 @@ class Accelerator
     virtual void reserveWorkers(std::size_t workers) { (void)workers; }
 
     /**
-     * Ask for intra-layer parallelism: backends that support it (LoAS,
-     * SparTen) run each block of wave items' pure join work across up
-     * to `threads` transient workers, then replay every memory-system
-     * access and cycle/ops accounting step serially in the original
-     * wave order — so RunResults stay byte-identical to the serial
-     * path at any setting. Backends without support ignore the hint.
-     * 1 (the default) keeps the untouched serial path.
-     */
-    void setLayerThreads(int threads)
-    {
-        layer_threads_ = threads < 1 ? 1 : threads;
-    }
-
-    /** The intra-layer thread request (1 = serial). */
-    int layerThreads() const { return layer_threads_; }
-
-    /**
      * Phase 2 over EVERY input of a batched compiled layer: a
      * batch-level parallel loop over per-input fibers with per-worker
      * scratch, reduced into one aggregate in input order (bit-identical
@@ -154,9 +121,6 @@ class Accelerator
     /** Reused per-input result slots of executeBatch (steady-state
      *  batched execution stays allocation-free once warm). */
     std::vector<RunResult> batch_slots_;
-
-    /** Intra-layer thread request (setLayerThreads; 1 = serial). */
-    int layer_threads_ = 1;
 };
 
 } // namespace loas

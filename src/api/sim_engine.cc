@@ -137,17 +137,13 @@ SimEngine::run(const SimRequest& request) const
     std::atomic<std::uint64_t> sim_ns{0};
     using Clock = std::chrono::steady_clock;
 
-    // Cells parallelize *inside* a cell too — batched cells along the
-    // input axis, single-input cells across each large layer's output
-    // rows (intra-layer phase A/B; results stay byte-identical at any
-    // split). Splitting the thread budget across the cell jobs keeps
-    // total concurrency at the requested level.
-    const int per_cell_threads = std::max<int>(
-        1,
-        threads /
-            static_cast<int>(std::max<std::size_t>(
-                1, report.runs.size())));
-    const int batch_threads = request.batch > 1 ? per_cell_threads : 1;
+    // Batched cells parallelize along the input axis *inside* a cell;
+    // splitting the thread budget across the cell jobs keeps total
+    // concurrency at the requested level. One input's execute is
+    // always serial.
+    const int cells = static_cast<int>(report.runs.size());
+    const int batch_threads =
+        request.batch > 1 ? std::max(1, threads / std::max(1, cells)) : 1;
 
     parallelFor(report.runs.size(), threads, [&](std::size_t i) {
         check_cancelled();
@@ -162,8 +158,6 @@ SimEngine::run(const SimRequest& request) const
         run.network = net.name;
 
         const auto instance = registry.make(accel.spec);
-        if (request.batch == 1 && per_cell_threads > 1)
-            instance->setLayerThreads(per_cell_threads);
         const std::string family = instance->formatFamily();
         std::vector<std::shared_ptr<const CompiledLayer>> compiled;
         compiled.reserve(layers.size());

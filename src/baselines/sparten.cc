@@ -159,13 +159,13 @@ SpartenSim::executeInput(const CompiledLayer& compiled,
     const CompiledSpikeFibers& packed = art.packed[input];
     const std::vector<std::uint32_t>& dense_nnz = art.dense_nnz[input];
     std::uint64_t dram_bytes_seen = 0;
+    for (std::size_t w = 0; w < scheduler.waveCount(); ++w) {
+        scheduler.wave(w, scratch.items);
+        const auto& items = scratch.items;
 
-    // Weight fiber of each column in one wave, broadcast once.
-    const auto broadcastWave = [&](const WorkItem* items,
-                                   std::size_t count) {
+        // Weight fiber of each column in the wave, broadcast once.
         std::uint64_t prev_col = ~0ull;
-        for (std::size_t i = 0; i < count; ++i) {
-            const WorkItem& item = items[i];
+        for (const auto& item : items) {
             if (item.n == prev_col)
                 continue;
             prev_col = item.n;
@@ -175,110 +175,87 @@ SpartenSim::executeInput(const CompiledLayer& compiled,
                      kBaseBValues + b_val_off[item.n],
                      fibers_b[item.n].values.size());
         }
-    };
 
-    // Spike-side memory traffic of one item. The joins themselves
-    // never touch the memory system, so issuing the reads before (or
-    // on another thread than) the join arithmetic leaves the access
-    // sequence identical to the interleaved original.
-    const auto readsForItem = [&](const WorkItem& item) {
-        if (config_.fused) {
-            // The compressed row: mask metadata plus the packed
-            // temporal words, fetched once for all T timesteps.
-            mem.read(TensorCategory::Meta,
-                     kBaseAMeta + packed.meta_off[item.m],
-                     packed.fibers[item.m].metadataBytes());
-            const std::uint64_t value_bytes =
-                packed.val_off[item.m + 1] - packed.val_off[item.m];
-            if (value_bytes)
-                mem.read(TensorCategory::Input,
-                         kBaseA + packed.val_off[item.m], value_bytes);
-        } else {
-            // The raw spike train is bitmask and data at once; every
-            // bit of the row is fetched, every timestep again.
-            for (int t = 0; t < timesteps; ++t) {
-                const auto ts = static_cast<std::size_t>(t);
-                mem.read(TensorCategory::Input,
-                         kBaseA + (ts * m + item.m) * row_bytes,
-                         row_bytes);
+        std::uint64_t wave_cycles = 0;
+        for (const auto& item : items) {
+            const WeightFiber& fb = fibers_b[item.n];
+            std::uint64_t pe_cycles = 0;
+            if (config_.fused) {
+                // Fused temporally-parallel join: the compressed row
+                // (mask metadata + packed temporal words) is fetched
+                // once, the masks are ANDed once, and every match fans
+                // its weight out to all T accumulators — or collapses
+                // through the pseudo-accumulator when the row's train
+                // is dense in time.
+                const SpikeFiber& fa = packed.fibers[item.m];
+                mem.read(TensorCategory::Meta,
+                         kBaseAMeta + packed.meta_off[item.m],
+                         fa.metadataBytes());
+                const std::uint64_t value_bytes =
+                    packed.val_off[item.m + 1] - packed.val_off[item.m];
+                if (value_bytes)
+                    mem.read(TensorCategory::Input,
+                             kBaseA + packed.val_off[item.m],
+                             value_bytes);
+
+                const bool collapse =
+                    shouldCollapse(dense_nnz[item.m], fa.nnz(),
+                                   config_.collapse_threshold);
+                const FusedJoinStats stats = fusedTemporalJoin(
+                    fa, packed.ranked[item.m], fb, ranked_b[item.n],
+                    timesteps, collapse, sums.data(),
+                    scratch.correction.data());
+
+                result.ops.mask_and_ops += chunks;
+                // Both operands are compressed here, so both prefix
+                // circuits fire per match (like the ANN datapath).
+                result.ops.fast_prefix_ops += 2 * stats.matches;
+                result.ops.acc_ops += stats.acc_ops;
+                result.ops.correction_ops += stats.correction_ops;
+                result.ops.lif_ops +=
+                    static_cast<std::uint64_t>(timesteps);
+                pe_cycles =
+                    config_.fusedJoinCycles(chunks, stats.updates());
+            } else {
+                for (int t = 0; t < timesteps; ++t) {
+                    const auto ts = static_cast<std::size_t>(t);
+                    // The raw spike train is bitmask and data at once;
+                    // every bit of the row is fetched, every timestep
+                    // again.
+                    mem.read(TensorCategory::Input,
+                             kBaseA + (ts * m + item.m) * row_bytes,
+                             row_bytes);
+
+                    // Accumulate matched weights, one per cycle; a
+                    // single fast prefix-sum serves the weight side
+                    // (the spike is its own data). Word-parallel: AND
+                    // the mask words directly, with the weight offset
+                    // from the compiled rank table — no materialized
+                    // AND mask.
+                    const Bitmask& ma = row_masks[ts * m + item.m];
+                    std::uint64_t matches = 0;
+                    std::int32_t acc = 0;
+                    forEachMatch(ma, ranked_b[item.n],
+                                 [&](std::size_t, std::size_t b_off) {
+                                     acc += fb.values[b_off];
+                                     ++matches;
+                                 });
+                    sums[ts] = acc;
+
+                    result.ops.mask_and_ops += chunks;
+                    result.ops.fast_prefix_ops += matches;
+                    result.ops.acc_ops += matches;
+                    result.ops.lif_ops += 1;
+                    pe_cycles +=
+                        config_.timestepJoinCycles(chunks, matches);
+                }
             }
+            const TimeWord spikes =
+                lifAcrossTimesteps(sums, config_.lif);
+            if (input == 0)
+                last_output_.setWord(item.m, item.n, spikes);
+            wave_cycles = std::max(wave_cycles, pe_cycles);
         }
-    };
-
-    // The pure join work of one item — no memory-system access, no
-    // result mutation — into caller-owned accumulator scratch. Safe
-    // to run concurrently across items with distinct scratch.
-    const auto computeItem = [&](const WorkItem& item,
-                                 std::vector<std::int32_t>& jsums,
-                                 std::vector<std::int64_t>& jcorr) {
-        const WeightFiber& fb = fibers_b[item.n];
-        IntraSlot slot;
-        if (config_.fused) {
-            // Fused temporally-parallel join: the masks are ANDed
-            // once, and every match fans its weight out to all T
-            // accumulators — or collapses through the pseudo-
-            // accumulator when the row's train is dense in time.
-            const SpikeFiber& fa = packed.fibers[item.m];
-            const bool collapse =
-                shouldCollapse(dense_nnz[item.m], fa.nnz(),
-                               config_.collapse_threshold);
-            const FusedJoinStats stats = fusedTemporalJoin(
-                fa, packed.ranked[item.m], fb, ranked_b[item.n],
-                timesteps, collapse, jsums.data(), jcorr.data());
-            // Both operands are compressed here, so both prefix
-            // circuits fire per match (like the ANN datapath).
-            slot.fast_prefix_ops = 2 * stats.matches;
-            slot.acc_ops = stats.acc_ops;
-            slot.correction_ops = stats.correction_ops;
-            slot.pe_cycles =
-                config_.fusedJoinCycles(chunks, stats.updates());
-        } else {
-            for (int t = 0; t < timesteps; ++t) {
-                const auto ts = static_cast<std::size_t>(t);
-                // Accumulate matched weights, one per cycle; a
-                // single fast prefix-sum serves the weight side
-                // (the spike is its own data). Word-parallel: AND
-                // the mask words directly, with the weight offset
-                // from the compiled rank table — no materialized
-                // AND mask.
-                const Bitmask& ma = row_masks[ts * m + item.m];
-                std::uint64_t matches = 0;
-                std::int32_t acc = 0;
-                forEachMatch(ma, ranked_b[item.n],
-                             [&](std::size_t, std::size_t b_off) {
-                                 acc += fb.values[b_off];
-                                 ++matches;
-                             });
-                jsums[ts] = acc;
-                slot.fast_prefix_ops += matches;
-                slot.acc_ops += matches;
-                slot.pe_cycles +=
-                    config_.timestepJoinCycles(chunks, matches);
-            }
-        }
-        slot.spikes = lifAcrossTimesteps(jsums, config_.lif);
-        return slot;
-    };
-
-    // Ops accounting and output of one item's precomputed join;
-    // returns its PE cycles. The per-item mask-scan and LIF charges
-    // depend only on the datapath, not on the join's data.
-    const auto accountItem = [&](const WorkItem& item,
-                                 const IntraSlot& slot) -> std::uint64_t {
-        result.ops.mask_and_ops +=
-            config_.fused
-                ? chunks
-                : chunks * static_cast<std::uint64_t>(timesteps);
-        result.ops.fast_prefix_ops += slot.fast_prefix_ops;
-        result.ops.acc_ops += slot.acc_ops;
-        result.ops.correction_ops += slot.correction_ops;
-        result.ops.lif_ops += static_cast<std::uint64_t>(timesteps);
-        if (input == 0)
-            last_output_.setWord(item.m, item.n, slot.spikes);
-        return slot.pe_cycles;
-    };
-
-    const auto finishWave = [&](std::uint64_t wave_cycles) {
         wave_cycles += config_.wave_overhead_cycles;
         result.compute_cycles += wave_cycles;
 
@@ -286,85 +263,6 @@ SpartenSim::executeInput(const CompiledLayer& compiled,
         result.total_cycles += std::max(
             wave_cycles, mem.dramCyclesFor(dram_now - dram_bytes_seen));
         dram_bytes_seen = dram_now;
-    };
-
-    const int layer_threads = layerThreads();
-    if (layer_threads <= 1 ||
-        scheduler.totalItems() < kIntraMinItems) {
-        // Serial reference path.
-        for (std::size_t w = 0; w < scheduler.waveCount(); ++w) {
-            scheduler.wave(w, scratch.items);
-            const auto& items = scratch.items;
-            broadcastWave(items.data(), items.size());
-            std::uint64_t wave_cycles = 0;
-            for (const auto& item : items) {
-                readsForItem(item);
-                const IntraSlot slot =
-                    computeItem(item, sums, scratch.correction);
-                wave_cycles =
-                    std::max(wave_cycles, accountItem(item, slot));
-            }
-            finishWave(wave_cycles);
-        }
-    } else {
-        // Intra-layer parallel path: phase A joins one block of waves
-        // across transient workers (per-worker accumulator scratch,
-        // per-item slots); phase B replays the block's waves serially
-        // in original order — memory traffic and accounting exactly as
-        // the serial path issues them. See LoasSim::executeInput.
-        IntraScratch& intra = scratch.intra;
-        const auto threads_sz =
-            static_cast<std::size_t>(layer_threads);
-        if (intra.worker_sums.size() < threads_sz) {
-            intra.worker_sums.resize(threads_sz);
-            intra.worker_correction.resize(threads_sz);
-        }
-        for (std::size_t i = 0; i < threads_sz; ++i) {
-            intra.worker_sums[i].assign(
-                static_cast<std::size_t>(timesteps), 0);
-            intra.worker_correction[i].assign(
-                static_cast<std::size_t>(timesteps), 0);
-        }
-        std::size_t w = 0;
-        while (w < scheduler.waveCount()) {
-            intra.block_items.clear();
-            intra.wave_sizes.clear();
-            while (w < scheduler.waveCount() &&
-                   intra.block_items.size() < kIntraBlockItems) {
-                scheduler.wave(w, scratch.items);
-                intra.wave_sizes.push_back(scratch.items.size());
-                intra.block_items.insert(intra.block_items.end(),
-                                         scratch.items.begin(),
-                                         scratch.items.end());
-                ++w;
-            }
-            if (intra.slots.size() < intra.block_items.size())
-                intra.slots.resize(intra.block_items.size());
-            parallelForWorkers(
-                intra.block_items.size(), layer_threads,
-                [&](std::size_t intra_worker, std::size_t i) {
-                    intra.slots[i] = computeItem(
-                        intra.block_items[i],
-                        intra.worker_sums[intra_worker],
-                        intra.worker_correction[intra_worker]);
-                });
-            std::size_t cursor = 0;
-            for (const std::size_t wave_size : intra.wave_sizes) {
-                broadcastWave(intra.block_items.data() + cursor,
-                              wave_size);
-                std::uint64_t wave_cycles = 0;
-                for (std::size_t i = 0; i < wave_size; ++i) {
-                    const WorkItem& item =
-                        intra.block_items[cursor + i];
-                    readsForItem(item);
-                    wave_cycles = std::max(
-                        wave_cycles,
-                        accountItem(item, intra.slots[cursor + i]));
-                }
-                finishWave(wave_cycles);
-                cursor += wave_size;
-            }
-        }
     }
 
     // Outputs leave as raw spike trains, timestep-major like the input.

@@ -168,28 +168,6 @@ class SpartenSim : public Accelerator
     RunResult executeAnn(const CompiledLayer& compiled,
                          std::size_t worker);
 
-    /** Result of one item's pure join work, precomputed by the
-     *  intra-layer phase A and replayed by phase B (see
-     *  LoasSim::IntraScratch). Covers both datapaths. */
-    struct IntraSlot
-    {
-        std::uint64_t pe_cycles = 0;
-        std::uint64_t fast_prefix_ops = 0;
-        std::uint64_t acc_ops = 0;
-        std::uint64_t correction_ops = 0;
-        TimeWord spikes = 0;
-    };
-
-    /** Intra-layer parallel state (see LoasSim::IntraScratch). */
-    struct IntraScratch
-    {
-        std::vector<IntraSlot> slots;         // per block item
-        std::vector<std::vector<std::int32_t>> worker_sums;
-        std::vector<std::vector<std::int64_t>> worker_correction;
-        std::vector<WorkItem> block_items;    // block waves, flattened
-        std::vector<std::size_t> wave_sizes;  // wave boundaries
-    };
-
     /** Reusable per-worker execute() working state (see
      *  LoasSim::ExecuteScratch). */
     struct ExecuteScratch
@@ -198,7 +176,6 @@ class SpartenSim : public Accelerator
         std::vector<std::int32_t> sums;  // one slot per timestep
         std::vector<std::int64_t> correction;  // collapse-path scratch
         std::vector<WorkItem> items;     // current wave
-        IntraScratch intra;
     };
     std::vector<ExecuteScratch> scratch_;
 };

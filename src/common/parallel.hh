@@ -1,10 +1,12 @@
 /**
  * @file
- * Shared fork-join helper. The SimEngine uses it for the job matrix and
- * the prepare()-phase compilers use it for per-fiber compression, which
- * is embarrassingly parallel: every worker writes a disjoint,
- * preallocated slot, so results are bit-identical whatever the thread
- * count.
+ * Shared fork-join helpers. Host threads are spent at two levels only:
+ * the SimEngine fans out across networks (synthesis) and sweep cells,
+ * and a batched cell fans out across its inputs (executeBatch). One
+ * input's execute() is always serial. The prepare()-phase compilers
+ * also split per-fiber compression, which is embarrassingly parallel.
+ * Every job writes a disjoint, preallocated slot, so results are
+ * bit-identical whatever the thread count.
  */
 
 #pragma once
@@ -19,63 +21,14 @@
 namespace loas {
 
 /**
- * Run `jobs` instances of `body(job_index)` across `threads` workers.
- * Exceptions escaping a job are rethrown in the caller (first one
- * wins); remaining jobs still drain so the workers join cleanly.
- */
-template <typename Body>
-void
-parallelFor(std::size_t jobs, int threads, Body&& body)
-{
-    if (threads <= 1 || jobs <= 1) {
-        for (std::size_t i = 0; i < jobs; ++i)
-            body(i);
-        return;
-    }
-
-    std::atomic<std::size_t> next{0};
-    std::atomic<bool> failed{false};
-    std::exception_ptr error;
-    std::mutex error_mutex;
-
-    auto worker = [&] {
-        while (true) {
-            const std::size_t i = next.fetch_add(1);
-            if (i >= jobs)
-                return;
-            if (failed.load())
-                continue; // drain without doing more work
-            try {
-                body(i);
-            } catch (...) {
-                const std::lock_guard<std::mutex> lock(error_mutex);
-                if (!error)
-                    error = std::current_exception();
-                failed.store(true);
-            }
-        }
-    };
-
-    const std::size_t n_workers =
-        std::min<std::size_t>(static_cast<std::size_t>(threads), jobs);
-    std::vector<std::thread> pool;
-    pool.reserve(n_workers);
-    for (std::size_t w = 0; w < n_workers; ++w)
-        pool.emplace_back(worker);
-    for (auto& t : pool)
-        t.join();
-    if (error)
-        std::rethrow_exception(error);
-}
-
-/**
- * Like parallelFor, but each worker has a stable identity: `body` is
- * called as body(worker, job) with `worker` in [0, workers) where
+ * Run `jobs` instances of `body(worker, job)` across `threads`
+ * workers. `worker` is a stable identity in [0, workers) where
  * `workers = min(threads, jobs)` (or 0 when the loop runs serially).
- * Jobs are still pulled off one atomic counter, so the job->worker
+ * Jobs are pulled off one atomic counter, so the job->worker
  * assignment is nondeterministic — callers must write results into
  * per-JOB slots and use the worker index only for scratch reuse.
- * The batch execute path uses it for per-worker ExecuteScratch pools.
+ * Exceptions escaping a job are rethrown in the caller (first one
+ * wins); remaining jobs still drain so the workers join cleanly.
  */
 template <typename Body>
 void
@@ -120,6 +73,16 @@ parallelForWorkers(std::size_t jobs, int threads, Body&& body)
         t.join();
     if (error)
         std::rethrow_exception(error);
+}
+
+/** parallelForWorkers for bodies that need no worker identity:
+ *  `body(job)`, same scheduling and exception semantics. */
+template <typename Body>
+void
+parallelFor(std::size_t jobs, int threads, Body&& body)
+{
+    parallelForWorkers(jobs, threads,
+                       [&body](std::size_t, std::size_t i) { body(i); });
 }
 
 /** Requested thread count resolved: 0 = one per hardware thread. */

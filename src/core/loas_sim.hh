@@ -83,22 +83,6 @@ class LoasSim : public Accelerator
      * first layer and steady-state execution performs no heap
      * allocations.
      */
-    /**
-     * Intra-layer parallel state (setLayerThreads > 1): phase A runs
-     * the pure joins of one block of waves across transient workers,
-     * each into its own slot; phase B replays the block's waves
-     * serially, consuming the slots in original item order. Nested
-     * inside ExecuteScratch so batch-level and intra-layer parallelism
-     * compose without sharing.
-     */
-    struct IntraScratch
-    {
-        std::vector<JoinResult> slots;        // per block item
-        std::vector<JoinScratch> worker_join; // per intra worker
-        std::vector<WorkItem> block_items;    // block waves, flattened
-        std::vector<std::size_t> wave_sizes;  // wave boundaries
-    };
-
     struct ExecuteScratch
     {
         std::optional<MemorySystem> mem;
@@ -106,7 +90,6 @@ class LoasSim : public Accelerator
         std::vector<TimeWord> out_rows;  // m x n, row-major
         std::vector<WorkItem> items;     // current wave
         CompressResult compress;
-        IntraScratch intra;
     };
     std::vector<ExecuteScratch> scratch_;
 };

@@ -1,7 +1,7 @@
 /**
  * @file
- * The runtime-dispatched SIMD kernel layer and the intra-layer
- * parallel execute() must be invisible in every result:
+ * The runtime-dispatched SIMD kernel layer must be invisible in every
+ * result:
  *
  *  1. Kernel identity: andPopcountWords / firstMatchWord of every
  *     ISA the host supports agree with the scalar table on word
@@ -11,11 +11,9 @@
  *     spanning each ISA's vector-lane fast path and its scalar
  *     fallback.
  *  2. Golden matrix: every registered design run under
- *     {scalar, best ISA} x {1, 4 layer-threads} reproduces the
- *     scalar single-threaded RunResult field for field.
- *  3. Intra-layer partition edge cases: fewer rows than workers,
- *     k % 64 != 0, and batched inputs all stay byte-identical.
- *  4. ANN disk-cache identity: a prepareAnn artifact round-trips
+ *     {scalar, best ISA} reproduces the scalar RunResult field for
+ *     field.
+ *  3. ANN disk-cache identity: a prepareAnn artifact round-trips
  *     through a cold CompiledCache attached to a warm disk dir with
  *     zero compile time and an identical RunResult.
  */
@@ -27,7 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "api/accel_spec.hh"
 #include "api/registry.hh"
 #include "baselines/gamma.hh"
 #include "baselines/sparten.hh"
@@ -266,10 +263,10 @@ TEST(KernelDispatch, FusedJoinKernelsMatchScalar)
 }
 
 // ---------------------------------------------------------------------
-// 2. Golden matrix: ISA x layer-threads x every registered design.
+// 2. Golden matrix: ISA x every registered design.
 // ---------------------------------------------------------------------
 
-TEST(KernelDispatch, GoldenMatrixAcrossIsaAndThreads)
+TEST(KernelDispatch, GoldenMatrixAcrossIsa)
 {
     IsaGuard guard;
     const auto& registry = AcceleratorRegistry::instance();
@@ -285,105 +282,25 @@ TEST(KernelDispatch, GoldenMatrixAcrossIsaAndThreads)
             const bool ft = registry.entry(key).ft_workload;
             const auto layers = generateNetwork(net, 101, ft);
 
-            // Reference: scalar kernels, serial execute.
+            // Reference: scalar kernels.
             kernels::setIsa(kernels::Isa::Scalar);
             const RunResult want =
                 registry.make(key)->runNetwork(layers, net.name);
 
             for (const auto isa : isas) {
-                for (const int layer_threads : {1, 4}) {
-                    kernels::setIsa(isa);
-                    const auto instance = registry.make(key);
-                    instance->setLayerThreads(layer_threads);
-                    const RunResult got =
-                        instance->runNetwork(layers, net.name);
-                    expectRunResultEq(
-                        got, want,
-                        net.name + "/" + key + "/" +
-                            kernels::isaName(isa) + "/t" +
-                            std::to_string(layer_threads));
-                }
+                kernels::setIsa(isa);
+                const RunResult got =
+                    registry.make(key)->runNetwork(layers, net.name);
+                expectRunResultEq(got, want,
+                                  net.name + "/" + key + "/" +
+                                      kernels::isaName(isa));
             }
         }
     }
 }
 
 // ---------------------------------------------------------------------
-// 3. Intra-layer partition edge cases.
-// ---------------------------------------------------------------------
-
-/** Serial-vs-parallel identity of one layer on one design spec. */
-void
-expectIntraIdentity(const std::string& key, const LayerSpec& spec,
-                    int layer_threads)
-{
-    const auto& registry = AcceleratorRegistry::instance();
-    const AccelSpec aspec = parseAccelSpec(key);
-    const bool ft = registry.entry(aspec.key).ft_workload;
-    const LayerData layer = generateLayer(spec, 303, ft);
-
-    const auto serial = registry.make(aspec);
-    const CompiledLayer cs = serial->prepare(layer);
-    const RunResult want = serial->execute(cs);
-
-    const auto parallel = registry.make(aspec);
-    parallel->setLayerThreads(layer_threads);
-    const CompiledLayer cp = parallel->prepare(layer);
-    const RunResult got = parallel->execute(cp);
-    expectRunResultEq(got, want,
-                      key + "/" + spec.name + "/t" +
-                          std::to_string(layer_threads));
-}
-
-TEST(KernelDispatch, IntraLayerFewerRowsThanWorkers)
-{
-    // 2 output rows against 8 workers; n keeps the item count above
-    // the intra-layer engagement floor so the split actually runs.
-    LayerSpec spec = tables::alexnetL4();
-    spec.name = "thin-m";
-    spec.m = 2;
-    spec.n = 320;
-    for (const char* key : {"loas", "sparten", "sparten?fused=1"})
-        expectIntraIdentity(key, spec, 8);
-}
-
-TEST(KernelDispatch, IntraLayerRaggedReductionDim)
-{
-    LayerSpec spec = tables::alexnetL4();
-    spec.name = "ragged-k";
-    spec.k = 130; // k % 64 != 0: partial-word masks end-to-end
-    for (const char* key : {"loas", "loas-ft", "sparten"})
-        expectIntraIdentity(key, spec, 4);
-}
-
-TEST(KernelDispatch, IntraLayerBatchedInputsStayIdentical)
-{
-    const auto& registry = AcceleratorRegistry::instance();
-    LayerSpec spec = tables::vgg16L8();
-    spec.name = "intra-batch";
-    constexpr std::size_t kBatch = 3;
-    const LayerData layer = generateLayer(spec, 404, false, kBatch);
-
-    const auto serial = registry.make("loas");
-    const CompiledLayer cs = serial->prepare(layer);
-    const RunResult want = serial->executeBatch(cs, 1);
-
-    const auto parallel = registry.make("loas");
-    parallel->setLayerThreads(4);
-    const CompiledLayer cp = parallel->prepare(layer);
-    const RunResult got = parallel->executeBatch(cp, 1);
-    expectRunResultEq(got, want, "loas/intra-batch");
-
-    // Per-input identity too, not just the batch aggregate.
-    for (std::size_t input = 0; input < kBatch; ++input)
-        expectRunResultEq(parallel->executeInput(cp, input, 0),
-                          serial->executeInput(cs, input, 0),
-                          "loas/intra-batch input " +
-                              std::to_string(input));
-}
-
-// ---------------------------------------------------------------------
-// 4. ANN artifacts through the disk cache: cold vs warm identity.
+// 3. ANN artifacts through the disk cache: cold vs warm identity.
 // ---------------------------------------------------------------------
 
 /** Fresh, empty cache directory unique to the calling test. */

@@ -30,14 +30,29 @@ smallSpec(std::size_t m, std::size_t n, std::size_t k, int t,
     return spec;
 }
 
-TEST(LoasSim, OutputMatchesReferenceOnPublishedLayer)
+TEST(LoasSim, OutputMatchesReferenceOnPublishedAndEdgeShapes)
 {
-    const LayerData layer = generateLayer(tables::vgg16L8(), 1);
-    LoasSim sim;
-    sim.runLayer(layer);
-    const SpikeTensor expected = referenceSnnLayer(
-        layer.spikes, layer.weights, sim.config().lif);
-    EXPECT_EQ(sim.lastOutput(), expected);
+    // A published layer plus two edge shapes: a reduction dim that
+    // ends mid-word (k % 64 != 0) and a thin layer with fewer output
+    // rows than PEs.
+    LayerSpec ragged = tables::alexnetL4();
+    ragged.name = "ragged-k";
+    ragged.k = 130;
+    LayerSpec thin = tables::alexnetL4();
+    thin.name = "thin-m";
+    thin.m = 2;
+    thin.n = 320;
+    for (const LayerSpec& spec : {tables::vgg16L8(), ragged, thin}) {
+        for (const bool ft : {false, true}) {
+            SCOPED_TRACE(spec.name + (ft ? " ft" : ""));
+            const LayerData layer = generateLayer(spec, 1, ft);
+            LoasSim sim(LoasConfig{}, ft);
+            sim.runLayer(layer);
+            const SpikeTensor expected = referenceSnnLayer(
+                layer.spikes, layer.weights, sim.config().lif);
+            EXPECT_EQ(sim.lastOutput(), expected);
+        }
+    }
 }
 
 TEST(LoasSim, CyclesScaleWithWork)

@@ -86,8 +86,18 @@ TEST(SpartenFused, OutputMatchesSequentialOnBothNetworks)
     // The fused temporally-parallel datapath is a pure perf change:
     // spike outputs must be bit-identical to the sequential baseline
     // (and to the reference) on representative layers of both
-    // networks.
-    for (const auto& spec : {tables::alexnetL4(), tables::vgg16L8()}) {
+    // networks, plus two edge shapes: a reduction dim that ends
+    // mid-word (k % 64 != 0) and a thin layer with fewer output rows
+    // than PEs.
+    LayerSpec ragged = tables::alexnetL4();
+    ragged.name = "ragged-k";
+    ragged.k = 130;
+    LayerSpec thin = tables::alexnetL4();
+    thin.name = "thin-m";
+    thin.m = 2;
+    thin.n = 320;
+    for (const auto& spec :
+         {tables::alexnetL4(), tables::vgg16L8(), ragged, thin}) {
         SCOPED_TRACE(spec.name);
         const LayerData layer = generateLayer(spec, 11);
         SpartenSim sequential;
