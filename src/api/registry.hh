@@ -50,7 +50,7 @@ class AcceleratorRegistry
         /**
          * The design expects the fine-tuned-preprocessing workload
          * variant (generateNetwork with ft=true); the SimEngine feeds
-         * it the matching cached workload.
+         * it the matching ft layers.
          */
         bool ft_workload = false;
 

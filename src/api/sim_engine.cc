@@ -1,5 +1,6 @@
 #include "api/sim_engine.hh"
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -80,9 +81,9 @@ SimEngine::run(const SimRequest& request) const
 
     const int threads = resolveThreads(request.threads);
 
-    // Cancellation is cooperative and cell-granular: the token is
-    // polled before each unit of work, so a cancelled run stops
-    // within one workload synthesis / one cell simulation.
+    // Cancellation is cooperative: the token is polled before each
+    // cell and before each lazy layer synthesis, so a cancelled run
+    // stops within one synthesis or one cell simulation.
     const auto check_cancelled = [&] {
         if (request.cancel &&
             request.cancel->load(std::memory_order_relaxed))
@@ -90,32 +91,27 @@ SimEngine::run(const SimRequest& request) const
     };
     check_cancelled();
 
-    // Phase 1: synthesize each needed (network, ft-variant) workload
-    // once; the cached layers are shared read-only by every backend.
+    // Compiled artifacts depend only on the synthesized layers, so a
+    // layer is synthesized only when some format family misses it in
+    // every cache level — inside the compile callback, once per
+    // (network, ft-variant, layer) however many families miss it. A
+    // run whose every key hits synthesizes nothing. Every cell of a
+    // variant passes every layer once, so a layer's tensors are freed
+    // when the last of those cells has its compiled artifact.
     const std::size_t n_nets = request.networks.size();
-    bool want_plain = false, want_ft = false;
+    std::array<std::size_t, 2> users = {0, 0};
     for (const auto& accel : accels)
-        (accel.ft_workload ? want_ft : want_plain) = true;
+        ++users[accel.ft_workload ? 1 : 0];
+    LazyWorkload workload(request.networks, request.seed, request.batch,
+                          users);
 
-    std::vector<std::vector<LayerData>> plain(n_nets), ft(n_nets);
-    parallelFor(n_nets, threads, [&](std::size_t i) {
-        check_cancelled();
-        const NetworkSpec& net = request.networks[i];
-        if (want_plain)
-            plain[i] = generateNetwork(net, request.seed, /*ft=*/false,
-                                       request.batch);
-        if (want_ft)
-            ft[i] = generateNetwork(net, request.seed, /*ft=*/true,
-                                    request.batch);
-    });
-
-    // Phase 2: lower each layer through the shared compiled-workload
-    // cache and execute the (accelerator x network) job matrix. Each
-    // job owns a private accelerator instance and writes its fixed
-    // report slot, which keeps multi-threaded runs bit-identical to
-    // serial ones; compiled artifacts are shared read-only across all
-    // design variants of a format family (one compilation per key,
-    // whatever the thread count).
+    // Lower each layer through the shared compiled-workload cache and
+    // execute the (accelerator x network) job matrix. Each job owns a
+    // private accelerator instance and writes its fixed report slot,
+    // which keeps multi-threaded runs bit-identical to serial ones;
+    // compiled artifacts are shared read-only across all design
+    // variants of a format family (one compilation per key, whatever
+    // the thread count).
     SimReport report;
     report.runs.resize(accels.size() * n_nets);
     const EnergyModel energy_model(request.energy_params);
@@ -151,7 +147,6 @@ SimEngine::run(const SimRequest& request) const
         const std::size_t n = i % n_nets;
         const AccelJob& accel = accels[a];
         const NetworkSpec& net = request.networks[n];
-        const auto& layers = accel.ft_workload ? ft[n] : plain[n];
 
         SimRun& run = report.runs[i];
         run.accel_spec = accel.spec_string;
@@ -160,14 +155,19 @@ SimEngine::run(const SimRequest& request) const
         const auto instance = registry.make(accel.spec);
         const std::string family = instance->formatFamily();
         std::vector<std::shared_ptr<const CompiledLayer>> compiled;
-        compiled.reserve(layers.size());
-        for (std::size_t l = 0; l < layers.size(); ++l)
+        compiled.reserve(net.layers.size());
+        for (std::size_t l = 0; l < net.layers.size(); ++l) {
             compiled.push_back(cache->getOrCompile(
                 compiledLayerKey(net.name, l, accel.ft_workload,
-                                 family, layers[l].spec.t,
+                                 family, net.layers[l].t,
                                  request.seed, request.batch),
-                [&] { return instance->prepare(layers[l]); },
+                [&] {
+                    return instance->prepare(workload.layer(
+                        n, accel.ft_workload, l, check_cancelled));
+                },
                 &attributed));
+            workload.release(n, accel.ft_workload, l);
+        }
 
         const auto t_exec = Clock::now();
         if (request.batch > 1)
@@ -200,6 +200,7 @@ SimEngine::run(const SimRequest& request) const
     report.compile_cache.entries = occupancy.entries;
     report.compile_cache.bytes = occupancy.bytes;
     report.prepare_ms = report.compile_cache.compile_ms;
+    report.synthesized_layers = workload.synthesized();
     report.sim_ms =
         static_cast<double>(sim_ns.load()) / 1e6;
     return report;

@@ -6,9 +6,12 @@
  * returning a SimReport of RunResult + EnergyBreakdown rows.
  *
  * Workload generation (the expensive synthesis of calibrated spike and
- * weight tensors) runs once per (network, ft-variant) and the cached
- * layers are shared read-only by every accelerator, so adding a design
- * to a sweep costs only its simulation time.
+ * weight tensors) is lazy and per layer: a (network, ft-variant, layer)
+ * is synthesized only when some format family misses its compiled
+ * artifact in every cache level, at most once per run, and shared
+ * read-only by every family that missed it. A run whose artifacts all
+ * hit synthesizes nothing, and adding a design to a sweep costs only
+ * its simulation time.
  *
  * Simulation itself is two-phase (see accel/accelerator.hh): each
  * layer is lowered by prepare() into compiled operand formats exactly
@@ -89,9 +92,10 @@ struct SimRequest
     /**
      * Cooperative cancellation token, owned by the caller and shared
      * with whoever may cancel the run (the serve job queue sets it on
-     * cancel/timeout). The engine checks it between workload
-     * syntheses and between job-matrix cells — never mid-cell — and
-     * aborts by throwing SimCancelled. Null = not cancellable.
+     * cancel/timeout). The engine checks it before each job-matrix
+     * cell and before each lazy layer synthesis — never mid-synthesis
+     * or mid-simulation — and aborts by throwing SimCancelled. Null =
+     * not cancellable.
      */
     const std::atomic<bool>* cancel = nullptr;
 };
@@ -141,6 +145,13 @@ struct SimReport
 
     /** Wall time spent executing compiled layers, summed over workers. */
     double sim_ms = 0.0;
+
+    /**
+     * Distinct (network, ft-variant, layer) tensors this run
+     * synthesized: 0 when every compiled artifact hit. A side channel
+     * like the timings — never rendered into the report JSON.
+     */
+    std::uint64_t synthesized_layers = 0;
 
     /** Cell lookup by request spec string + network name. */
     const SimRun* find(const std::string& accel_spec,

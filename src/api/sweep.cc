@@ -208,6 +208,7 @@ SweepEngine::run(const SweepRequest& request) const
     report.compile_cache = sim_report.compile_cache;
     report.prepare_ms = sim_report.prepare_ms;
     report.sim_ms = sim_report.sim_ms;
+    report.synthesized_layers = sim_report.synthesized_layers;
 
     const std::size_t n_nets = sim.networks.size();
     report.cells.resize(sim_report.runs.size());

@@ -121,6 +121,9 @@ struct SweepReport
     double prepare_ms = 0.0;
     double sim_ms = 0.0;
 
+    /** Layers the sweep synthesized (SimReport passthrough). */
+    std::uint64_t synthesized_layers = 0;
+
     std::vector<SweepCell> cells;
 
     const SweepCell* find(const std::string& accel_spec,

@@ -1,5 +1,8 @@
 #include "workload/artifact_io.hh"
 
+#include <algorithm>
+#include <bit>
+#include <cstring>
 #include <memory>
 #include <utility>
 
@@ -442,6 +445,47 @@ fnv1a(const char* data, std::size_t size, std::uint64_t seed)
         hash ^= static_cast<unsigned char>(data[i]);
         hash *= 1099511628211ull;
     }
+    return hash;
+}
+
+std::uint64_t
+checksum(const char* data, std::size_t size)
+{
+    // xxHash64's primes and round: multiply by an odd constant, add,
+    // rotate and multiply again are each invertible.
+    constexpr std::uint64_t kP1 = 0x9e3779b185ebca87ull;
+    constexpr std::uint64_t kP2 = 0xc2b2ae3d27d4eb4full;
+    constexpr std::uint64_t kP3 = 0x165667b19e3779f9ull;
+    const auto mix = [](std::uint64_t acc, std::uint64_t word) {
+        return std::rotl(acc + word * kP2, 31) * kP1;
+    };
+    const auto word_at = [data](std::size_t pos, std::size_t bytes) {
+        std::uint64_t word = 0;
+        std::memcpy(&word, data + pos, bytes);
+        return word;
+    };
+
+    std::uint64_t lanes[4] = {kP1 + kP2, kP2, 0, 0 - kP1};
+    std::size_t pos = 0;
+    for (; size - pos >= 32; pos += 32)
+        for (std::size_t lane = 0; lane < 4; ++lane)
+            lanes[lane] = mix(lanes[lane], word_at(pos + 8 * lane, 8));
+    std::uint64_t hash = std::rotl(lanes[0], 1) + std::rotl(lanes[1], 7) +
+                         std::rotl(lanes[2], 12) +
+                         std::rotl(lanes[3], 18);
+
+    for (; pos < size; pos += 8) {
+        const std::size_t bytes = std::min<std::size_t>(8, size - pos);
+        hash = std::rotl(hash ^ mix(0, word_at(pos, bytes)), 27) * kP1 +
+               kP3;
+    }
+    hash ^= static_cast<std::uint64_t>(size);
+
+    hash ^= hash >> 33;
+    hash *= kP2;
+    hash ^= hash >> 29;
+    hash *= kP3;
+    hash ^= hash >> 32;
     return hash;
 }
 

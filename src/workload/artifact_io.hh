@@ -151,9 +151,21 @@ bool serializeCompiledLayer(const CompiledLayer& layer, Writer& out);
  */
 bool deserializeCompiledLayer(Reader& in, CompiledLayer& out);
 
-/** FNV-1a 64-bit, the store's checksum and filename hash. */
+/** FNV-1a 64-bit, the store's filename hash of a cache key. */
 std::uint64_t fnv1a(const char* data, std::size_t size,
                     std::uint64_t seed = 1469598103934665603ull);
+
+/**
+ * The store's payload checksum, word-wise so it runs at memory speed.
+ * Four independent 64-bit lanes each absorb every fourth host-endian
+ * word of the 32-byte stripes; the lanes are merged, the sub-32-byte
+ * tail is folded in word by word (its last partial word zero-padded)
+ * and then the length, and a final avalanche mixes the result. Every
+ * step is a bijection of the running state for a fixed input word and
+ * of the input word for a fixed state, so changing any one word —
+ * hence any single byte — always changes the checksum.
+ */
+std::uint64_t checksum(const char* data, std::size_t size);
 
 } // namespace artio
 } // namespace loas

@@ -6,11 +6,12 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
+#include <memory>
 #include <system_error>
 #include <utility>
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "common/fault.hh"
@@ -54,6 +55,27 @@ writeAllFd(int fd, const char* data, std::size_t size)
     return true;
 }
 
+/** read() exactly `size` bytes, riding out EINTR and partial reads;
+ *  false on an error or on end of file before `size` bytes (the file
+ *  shrank under the reader). */
+bool
+readAllFd(int fd, char* data, std::size_t size)
+{
+    std::size_t off = 0;
+    while (off < size) {
+        const ssize_t n = ::read(fd, data + off, size - off);
+        if (n < 0) {
+            if (errno == EINTR)
+                continue;
+            return false;
+        }
+        if (n == 0)
+            return false;
+        off += static_cast<std::size_t>(n);
+    }
+    return true;
+}
+
 } // namespace
 
 ArtifactStore::ArtifactStore(std::string dir) : dir_(std::move(dir)) {}
@@ -76,50 +98,64 @@ ArtifactStore::LoadResult
 ArtifactStore::load(const std::string& key) const
 {
     LoadResult result;
-    std::ifstream file(path(key), std::ios::binary);
-    if (!file)
+    const int fd = ::open(path(key).c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0)
         return result; // plain miss: nothing stored yet
+    struct FdCloser
+    {
+        int fd;
+        ~FdCloser() { ::close(fd); }
+    } closer{fd};
 
     const auto reject = [&result] {
         result.rejected = true;
         return result;
     };
+    const auto io_reject = [&result, &reject] {
+        result.io_error = true;
+        return reject();
+    };
     // The file exists, so an injected read fault is an EIO mid-read:
     // the same rejection (recompile-and-overwrite) path as a real one.
-    if (fault::shouldFail(fault::Site::DiskRead)) {
-        result.io_error = true;
-        return reject();
-    }
+    if (fault::shouldFail(fault::Site::DiskRead))
+        return io_reject();
 
-    std::string blob((std::istreambuf_iterator<char>(file)),
-                     std::istreambuf_iterator<char>());
-    if (!file.good() && !file.eof()) {
-        result.io_error = true;
+    // One sized read of the whole file: artifacts are published by
+    // rename, so the size fstat reports is the size of the file this
+    // descriptor will read, and a shortfall is an I/O failure.
+    struct stat st;
+    if (::fstat(fd, &st) != 0)
+        return io_reject();
+    if (!S_ISREG(st.st_mode))
         return reject();
-    }
-    if (blob.size() < kHeaderBytes)
+    const std::size_t file_size = static_cast<std::size_t>(st.st_size);
+    if (file_size < kHeaderBytes)
         return reject();
-    if (std::memcmp(blob.data(), kMagic, sizeof(kMagic)) != 0)
+    const auto blob = std::make_unique_for_overwrite<char[]>(file_size);
+    if (!readAllFd(fd, blob.get(), file_size))
+        return io_reject();
+
+    if (std::memcmp(blob.get(), kMagic, sizeof(kMagic)) != 0)
         return reject();
 
     std::uint32_t version = 0;
     std::uint64_t checksum = 0, payload_size = 0;
     std::size_t pos = sizeof(kMagic);
-    std::memcpy(&version, blob.data() + pos, sizeof(version));
+    std::memcpy(&version, blob.get() + pos, sizeof(version));
     pos += sizeof(version);
-    std::memcpy(&checksum, blob.data() + pos, sizeof(checksum));
+    std::memcpy(&checksum, blob.get() + pos, sizeof(checksum));
     pos += sizeof(checksum);
-    std::memcpy(&payload_size, blob.data() + pos, sizeof(payload_size));
+    std::memcpy(&payload_size, blob.get() + pos, sizeof(payload_size));
     pos += sizeof(payload_size);
 
     if (version != kFormatVersion)
         return reject();
-    if (payload_size != blob.size() - kHeaderBytes)
+    if (payload_size != file_size - kHeaderBytes)
         return reject();
-    if (artio::fnv1a(blob.data() + pos, payload_size) != checksum)
+    if (artio::checksum(blob.get() + pos, payload_size) != checksum)
         return reject();
 
-    artio::Reader reader(blob.data() + pos,
+    artio::Reader reader(blob.get() + pos,
                          static_cast<std::size_t>(payload_size));
     std::string stored_key;
     if (!reader.str(stored_key) || stored_key != key)
@@ -149,7 +185,7 @@ ArtifactStore::store(const std::string& key,
     std::string blob(kMagic, sizeof(kMagic));
     const std::uint32_t version = kFormatVersion;
     const std::uint64_t checksum =
-        artio::fnv1a(body.data(), body.size());
+        artio::checksum(body.data(), body.size());
     const std::uint64_t payload_size = body.size();
     blob.append(reinterpret_cast<const char*>(&version),
                 sizeof(version));

@@ -5,18 +5,25 @@
  * invocations, bench runs and CI jobs skip operand recompression
  * entirely.
  *
- * File format (host-endian):
+ * File format (host-endian), named by the FNV-1a hash of its key:
  *     8 B  magic   "LOASART\0"
  *     4 B  format version (kFormatVersion; bumped on any layout change)
- *     8 B  FNV-1a checksum of the payload
+ *     8 B  checksum of the payload (artio::checksum: four 64-bit lanes
+ *          over 32-byte stripes, then the tail and the length)
  *     8 B  payload size
  *     N B  payload: cache key string, then the serialized
  *          CompiledLayer (artifact_io.hh)
  *
- * Robustness rules: every anomaly — missing file, short read, magic or
- * version mismatch, checksum failure, key mismatch (hash collision),
- * malformed payload, or an injected disk.read fault — is reported as a
- * *rejection*, never an error; the caller recompiles and overwrites.
+ * A load reads the whole file with one sized read and verifies the
+ * checksum word by word, so a warm load costs about what the
+ * deserialization does.
+ *
+ * Robustness rules: a missing file is a plain miss; every other
+ * anomaly — short read, magic or version mismatch (an older format
+ * version included), checksum failure, key mismatch (hash collision),
+ * malformed payload or trailing bytes, or an injected disk.read fault
+ * — is reported as a *rejection*, never an error; the caller
+ * recompiles and overwrites.
  * Writes go to a process-unique temporary name, are fsync'd, and only
  * then renamed into place, so a crash (or ENOSPC, or a short write)
  * can never publish a torn artifact; concurrent writers and readers
@@ -48,7 +55,7 @@ class ArtifactStore
      * semantically different artifact from being served to a newer
      * binary as if it were fresh.
      */
-    static constexpr std::uint32_t kFormatVersion = 4;
+    static constexpr std::uint32_t kFormatVersion = 5;
 
     /** Filename suffix of artifact files (everything else is ignored). */
     static constexpr const char* kFileSuffix = ".loasart";

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/bitutil.hh"
 #include "common/logging.hh"
@@ -170,19 +171,85 @@ generateLayer(const LayerSpec& spec, std::uint64_t seed, bool ft,
     return data;
 }
 
+LayerData
+generateNetworkLayer(const NetworkSpec& net, std::size_t l,
+                     std::uint64_t seed, bool ft, std::size_t batch)
+{
+    return generateLayer(net.layers.at(l),
+                         seed + 0x9e3779b97f4a7c15ull * (l + 1), ft,
+                         batch);
+}
+
 std::vector<LayerData>
 generateNetwork(const NetworkSpec& net, std::uint64_t seed, bool ft,
                 std::size_t batch)
 {
     std::vector<LayerData> layers;
     layers.reserve(net.layers.size());
-    for (std::size_t l = 0; l < net.layers.size(); ++l) {
-        const std::uint64_t layer_seed =
-            seed + 0x9e3779b97f4a7c15ull * (l + 1);
-        layers.push_back(
-            generateLayer(net.layers[l], layer_seed, ft, batch));
-    }
+    for (std::size_t l = 0; l < net.layers.size(); ++l)
+        layers.push_back(generateNetworkLayer(net, l, seed, ft, batch));
     return layers;
+}
+
+namespace {
+
+/** Prefix sums of the networks' layer counts. */
+std::vector<std::size_t>
+layerOffsets(const std::vector<NetworkSpec>& networks)
+{
+    std::vector<std::size_t> offsets;
+    offsets.reserve(networks.size() + 1);
+    offsets.push_back(0);
+    for (const auto& net : networks)
+        offsets.push_back(offsets.back() + net.layers.size());
+    return offsets;
+}
+
+} // namespace
+
+LazyWorkload::LazyWorkload(std::vector<NetworkSpec> networks,
+                           std::uint64_t seed, std::size_t batch,
+                           std::array<std::size_t, 2> users)
+    : networks_(std::move(networks)), seed_(seed), batch_(batch),
+      users_(users), offsets_(layerOffsets(networks_)),
+      slots_(2 * offsets_.back())
+{}
+
+LazyWorkload::Slot&
+LazyWorkload::slot(std::size_t network, bool ft, std::size_t l)
+{
+    const NetworkSpec& net = networks_.at(network);
+    if (l >= net.layers.size())
+        panic("network '%s' has no layer %zu", net.name.c_str(), l);
+    return slots_[2 * (offsets_[network] + l) + (ft ? 1 : 0)];
+}
+
+const LayerData&
+LazyWorkload::layer(std::size_t network, bool ft, std::size_t l,
+                    const std::function<void()>& before_synthesis)
+{
+    Slot& s = slot(network, ft, l);
+    // The slot mutex makes the fill once-only and, unlike a once_flag,
+    // plainly retryable: an exception unwinds the lock with `data`
+    // still empty.
+    const std::lock_guard<std::mutex> lock(s.mutex);
+    if (!s.data) {
+        if (before_synthesis)
+            before_synthesis();
+        s.data = std::make_unique<const LayerData>(generateNetworkLayer(
+            networks_[network], l, seed_, ft, batch_));
+        synthesized_.fetch_add(1, std::memory_order_relaxed);
+    }
+    return *s.data;
+}
+
+void
+LazyWorkload::release(std::size_t network, bool ft, std::size_t l)
+{
+    Slot& s = slot(network, ft, l);
+    const std::lock_guard<std::mutex> lock(s.mutex);
+    if (++s.released == users_[ft ? 1 : 0])
+        s.data.reset();
 }
 
 AnnLayerData

@@ -13,7 +13,12 @@
 
 #pragma once
 
+#include <array>
+#include <atomic>
 #include <cstdint>
+#include <functional>
+#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "tensor/dense_matrix.hh"
@@ -71,10 +76,93 @@ struct AnnLayerData
 LayerData generateLayer(const LayerSpec& spec, std::uint64_t seed,
                         bool ft = false, std::size_t batch = 1);
 
-/** Generate every layer of a network (seed is diversified per layer). */
+/**
+ * Generate layer `l` of `net`: generateLayer on net.layers[l] with the
+ * layer's own seed, diversified from the network seed. This is the one
+ * place that derivation lives, so a caller that needs only some layers
+ * synthesizes exactly what generateNetwork would have for them.
+ */
+LayerData generateNetworkLayer(const NetworkSpec& net, std::size_t l,
+                               std::uint64_t seed, bool ft = false,
+                               std::size_t batch = 1);
+
+/** Generate every layer of a network (generateNetworkLayer for each). */
 std::vector<LayerData> generateNetwork(const NetworkSpec& net,
                                        std::uint64_t seed, bool ft = false,
                                        std::size_t batch = 1);
+
+/**
+ * Synthesize-on-demand layers of a set of networks, for callers that
+ * need tensors only for layers whose compiled artifacts miss every
+ * cache level. Each (network, ft-variant, layer) is synthesized at
+ * most once, on its first request, and then shared read-only;
+ * concurrent requests for one layer block on that single synthesis
+ * while other layers proceed. A synthesis that throws leaves its slot
+ * empty, so the next request retries it from scratch.
+ *
+ * Tensors are freed as soon as their last user is done with them (see
+ * release()), so a network's synthesized layers need not all be
+ * resident at once.
+ */
+class LazyWorkload
+{
+  public:
+    /**
+     * `users[ft]` callers will each pass every layer of the ft-variant
+     * once and then release() it; 0 keeps that variant's tensors until
+     * destruction.
+     */
+    LazyWorkload(std::vector<NetworkSpec> networks, std::uint64_t seed,
+                 std::size_t batch = 1,
+                 std::array<std::size_t, 2> users = {0, 0});
+    LazyWorkload(const LazyWorkload&) = delete;
+    LazyWorkload& operator=(const LazyWorkload&) = delete;
+
+    /**
+     * Layer `l` of network `network` (an index into the constructor's
+     * list), equal to generateNetworkLayer(networks[network], l, seed,
+     * ft, batch). `before_synthesis`, when set, runs right before an
+     * actual synthesis — not on a memoized return — and may throw to
+     * abort it.
+     */
+    const LayerData& layer(
+        std::size_t network, bool ft, std::size_t l,
+        const std::function<void()>& before_synthesis = {});
+
+    /**
+     * One user is done with layer `l`: the last of the variant's
+     * `users` frees its tensors. A reference layer() returned must not
+     * be used after the caller's own release().
+     */
+    void release(std::size_t network, bool ft, std::size_t l);
+
+    /** Syntheses so far: one per distinct layer requested, unless a
+     *  layer is requested again after its last release(). */
+    std::uint64_t synthesized() const
+    {
+        return synthesized_.load(std::memory_order_relaxed);
+    }
+
+  private:
+    struct Slot
+    {
+        std::mutex mutex;
+        std::unique_ptr<const LayerData> data;
+        std::size_t released = 0;
+    };
+
+    /** The slot of (network, ft, l); panics on an out-of-range index. */
+    Slot& slot(std::size_t network, bool ft, std::size_t l);
+
+    std::vector<NetworkSpec> networks_;
+    std::uint64_t seed_;
+    std::size_t batch_;
+    std::array<std::size_t, 2> users_;
+    /** First slot pair of each network; slots come in (plain, ft). */
+    std::vector<std::size_t> offsets_;
+    std::vector<Slot> slots_;
+    std::atomic<std::uint64_t> synthesized_{0};
+};
 
 /** Generate an int8 ANN layer with the spec's activation sparsity. */
 AnnLayerData generateAnnLayer(const LayerSpec& spec, std::uint64_t seed);

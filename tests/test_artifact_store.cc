@@ -169,6 +169,82 @@ TEST(ArtifactStore, ChecksumRejectsCorruptedFiles)
     EXPECT_TRUE(result.rejected);
 }
 
+/** Header bytes ahead of the payload: magic, version, checksum, size. */
+constexpr std::size_t kHeaderBytes = 8 + 4 + 8 + 8;
+
+/** XOR one byte of a file in place (0xff: never a no-op). */
+void
+flipByte(const std::string& path, std::size_t offset)
+{
+    std::fstream file(path, std::ios::in | std::ios::out |
+                                std::ios::binary);
+    ASSERT_TRUE(file.good());
+    file.seekg(static_cast<std::streamoff>(offset));
+    const char flipped = static_cast<char>(file.get() ^ 0xff);
+    file.seekp(static_cast<std::streamoff>(offset));
+    file.put(flipped);
+    ASSERT_TRUE(file.good());
+}
+
+TEST(ArtifactChecksum, EverySingleByteFlipChangesIt)
+{
+    // Sizes around the 32-byte stripe: tail only, exact stripes, and
+    // stripes plus a partial last word.
+    for (const std::size_t size : {1u, 7u, 31u, 32u, 33u, 100u}) {
+        std::string buf(size, '\0');
+        for (std::size_t i = 0; i < size; ++i)
+            buf[i] = static_cast<char>(i * 37 + 11);
+        const std::uint64_t base = artio::checksum(buf.data(), size);
+        for (std::size_t i = 0; i < size; ++i) {
+            for (const unsigned mask : {0x01u, 0x80u, 0xffu}) {
+                std::string flipped = buf;
+                flipped[i] = static_cast<char>(flipped[i] ^ mask);
+                EXPECT_NE(artio::checksum(flipped.data(), size), base)
+                    << "size " << size << " byte " << i;
+            }
+        }
+    }
+    // The length is folded in: zero padding cannot alias a longer
+    // all-zero payload.
+    const std::string zeros(64, '\0');
+    for (std::size_t size = 0; size < zeros.size(); ++size)
+        EXPECT_NE(artio::checksum(zeros.data(), size),
+                  artio::checksum(zeros.data(), size + 1));
+}
+
+TEST(ArtifactStore, ChecksumRejectsFlipsInFirstWordAndTail)
+{
+    const std::string dir = tempCacheDir("word-checksum");
+    const ArtifactStore store(dir);
+    const LayerData layer = generateLayer(oddLayer(), 61);
+    const CompiledLayer compiled =
+        AcceleratorRegistry::instance().make("loas")->prepare(layer);
+
+    // Grow the key until the payload ends in a sub-32-byte tail the
+    // checksum folds in after its four lanes.
+    std::string key =
+        compiledLayerKey("net", 0, false, "loas", layer.spec.t, 61);
+    std::size_t file_size = 0;
+    for (;; key += '+') {
+        ASSERT_TRUE(store.store(key, compiled));
+        file_size = fs::file_size(store.path(key));
+        if ((file_size - kHeaderBytes) % 32 != 0)
+            break;
+    }
+
+    for (const std::size_t offset : {kHeaderBytes + 5, file_size - 1}) {
+        SCOPED_TRACE(offset);
+        flipByte(store.path(key), offset);
+        const ArtifactStore::LoadResult result = store.load(key);
+        EXPECT_EQ(result.layer, nullptr);
+        EXPECT_TRUE(result.rejected);
+        EXPECT_FALSE(result.io_error);
+        // Flipping back restores a file that loads intact.
+        flipByte(store.path(key), offset);
+        EXPECT_NE(store.load(key).layer, nullptr);
+    }
+}
+
 TEST(ArtifactStore, FormatVersionMismatchRejects)
 {
     const std::string dir = tempCacheDir("version");
@@ -289,6 +365,62 @@ TEST(DiskCache, CorruptedEntryFallsBackToRecompile)
     const SimReport healed = SimEngine().run(request);
     EXPECT_EQ(healed.compile_cache.disk_hits, 1u);
     EXPECT_EQ(healed.compile_cache.misses, 0u);
+}
+
+TEST(DiskCache, V4FileIsRejectedRecompiledAndRewrittenAsV5)
+{
+    const std::string dir = tempCacheDir("v4");
+    const LayerData layer = generateLayer(oddLayer(), 67);
+    const auto compiler = AcceleratorRegistry::instance().make("loas");
+    const CompiledLayer compiled = compiler->prepare(layer);
+    const std::string key =
+        compiledLayerKey("net", 0, false, "loas", layer.spec.t, 67);
+
+    // A genuine version-4 file: the same payload under the v4 header,
+    // whose checksum was the byte-wise FNV-1a.
+    artio::Writer payload;
+    payload.str(key);
+    ASSERT_TRUE(artio::serializeCompiledLayer(compiled, payload));
+    const std::string body = payload.take();
+    const std::uint32_t v4 = 4;
+    const std::uint64_t fnv = artio::fnv1a(body.data(), body.size());
+    const std::uint64_t size = body.size();
+    {
+        std::ofstream file(ArtifactStore(dir).path(key),
+                           std::ios::binary);
+        file.write("LOASART\0", 8);
+        file.write(reinterpret_cast<const char*>(&v4), sizeof(v4));
+        file.write(reinterpret_cast<const char*>(&fnv), sizeof(fnv));
+        file.write(reinterpret_cast<const char*>(&size), sizeof(size));
+        file << body;
+        ASSERT_TRUE(file.good());
+    }
+
+    CompiledCache cache;
+    cache.setDiskDir(dir);
+    cache.getOrCompile(key, [&] { return compiler->prepare(layer); });
+    const CompiledCache::Stats stats = cache.stats();
+    EXPECT_EQ(stats.disk_hits, 0u);
+    EXPECT_EQ(stats.disk_rejects, 1u);
+    EXPECT_EQ(stats.misses, 1u);
+    EXPECT_EQ(stats.disk_writes, 1u);
+    // A stale version is data, not an I/O failure: the breaker holds.
+    EXPECT_EQ(stats.disk_degraded, 0u);
+
+    std::uint32_t version = 0;
+    {
+        std::ifstream file(ArtifactStore(dir).path(key),
+                           std::ios::binary);
+        file.seekg(8);
+        file.read(reinterpret_cast<char*>(&version), sizeof(version));
+    }
+    EXPECT_EQ(version, 5u);
+    EXPECT_EQ(version, ArtifactStore::kFormatVersion);
+
+    const ArtifactStore::LoadResult loaded = ArtifactStore(dir).load(key);
+    ASSERT_NE(loaded.layer, nullptr);
+    EXPECT_EQ(json::toJson(compiler->execute(compiled)),
+              json::toJson(compiler->execute(*loaded.layer)));
 }
 
 /** Tests below arm the process-global fault registry; disarm after. */

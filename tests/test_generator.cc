@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "snn/metrics.hh"
 #include "workload/generator.hh"
 #include "workload/networks.hh"
@@ -130,6 +132,100 @@ TEST(Generator, NetworkGeneration)
         EXPECT_EQ(layers[l].spec.name, net.layers[l].name);
         EXPECT_EQ(layers[l].spikes.rows(), net.layers[l].m);
     }
+}
+
+/** Bit-identical tensors, the batch's extra inputs included. */
+void
+expectSameLayer(const LayerData& a, const LayerData& b)
+{
+    EXPECT_EQ(a.spec.name, b.spec.name);
+    EXPECT_EQ(a.spikes, b.spikes);
+    EXPECT_EQ(a.weights, b.weights);
+    ASSERT_EQ(a.batchSize(), b.batchSize());
+    for (std::size_t i = 1; i < a.batchSize(); ++i)
+        EXPECT_EQ(a.input(i), b.input(i));
+}
+
+TEST(Generator, NetworkEqualsPerLayerEntryPoint)
+{
+    // generateNetwork is generateNetworkLayer for every layer: the
+    // per-layer seed derivation lives in one place, so lazy per-layer
+    // synthesis produces exactly the eager network's tensors.
+    const NetworkSpec net = tables::alexnet();
+    for (const bool ft : {false, true}) {
+        for (const std::size_t batch : {1u, 2u}) {
+            SCOPED_TRACE(std::string(ft ? "ft" : "plain") + " batch " +
+                         std::to_string(batch));
+            const auto layers = generateNetwork(net, 17, ft, batch);
+            ASSERT_EQ(layers.size(), net.layers.size());
+            for (std::size_t l = 0; l < layers.size(); ++l)
+                expectSameLayer(layers[l],
+                                generateNetworkLayer(net, l, 17, ft, batch));
+        }
+    }
+}
+
+TEST(LazyWorkload, SynthesizesEachLayerOnceOnDemand)
+{
+    const NetworkSpec a{"a", {tables::alexnetL4(), tables::vgg16L8()}};
+    const NetworkSpec b{"b", {tables::resnet19L19()}};
+    LazyWorkload workload({a, b}, 23);
+    EXPECT_EQ(workload.synthesized(), 0u);
+
+    expectSameLayer(workload.layer(0, false, 1),
+                    generateNetworkLayer(a, 1, 23, false));
+    expectSameLayer(workload.layer(1, true, 0),
+                    generateNetworkLayer(b, 0, 23, true));
+    EXPECT_EQ(workload.synthesized(), 2u);
+
+    // A repeat is memoized: same object, no synthesis, no hook call.
+    const LayerData* first = &workload.layer(0, false, 1);
+    EXPECT_EQ(&workload.layer(0, false, 1, [] { FAIL(); }), first);
+    EXPECT_EQ(workload.synthesized(), 2u);
+}
+
+TEST(LazyWorkload, ThrowingSynthesisLeavesTheSlotRetryable)
+{
+    // The hook is the engine's cancellation checkpoint; when it
+    // throws, the slot must stay empty so the next caller synthesizes
+    // the layer cleanly rather than blocking or seeing a half-filled
+    // slot.
+    const NetworkSpec net{"n", {tables::alexnetL4()}};
+    LazyWorkload workload({net}, 29);
+    EXPECT_THROW(workload.layer(0, false, 0,
+                                [] { throw std::runtime_error("abort"); }),
+                 std::runtime_error);
+    EXPECT_EQ(workload.synthesized(), 0u);
+
+    int hook_calls = 0;
+    expectSameLayer(workload.layer(0, false, 0, [&] { ++hook_calls; }),
+                    generateNetworkLayer(net, 0, 29, false));
+    EXPECT_EQ(hook_calls, 1);
+    EXPECT_EQ(workload.synthesized(), 1u);
+}
+
+TEST(LazyWorkload, LastUserReleaseFreesTheLayer)
+{
+    const NetworkSpec net{"n", {tables::alexnetL4()}};
+    LazyWorkload workload({net}, 31, 1, {2, 0});
+
+    // Two plain users: the first release keeps the tensors resident.
+    workload.layer(0, false, 0);
+    workload.release(0, false, 0);
+    workload.layer(0, false, 0);
+    EXPECT_EQ(workload.synthesized(), 1u);
+    // The second frees them; only a request after that (which no
+    // well-behaved user makes) would synthesize the layer again.
+    workload.release(0, false, 0);
+    workload.layer(0, false, 0);
+    EXPECT_EQ(workload.synthesized(), 2u);
+
+    // 0 users: the ft variant stays resident whatever is released.
+    workload.layer(0, true, 0);
+    for (int i = 0; i < 3; ++i)
+        workload.release(0, true, 0);
+    workload.layer(0, true, 0);
+    EXPECT_EQ(workload.synthesized(), 3u);
 }
 
 /** Property: generated statistics track the spec across the tables. */

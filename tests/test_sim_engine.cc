@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <stdexcept>
 
 #include "api/json.hh"
@@ -117,6 +118,60 @@ TEST(SimEngine, RejectsBadRequestsBeforeSimulating)
     request.networks.push_back(
         NetworkSpec{"net-a", {tables::vgg16L8()}});
     EXPECT_THROW(SimEngine().run(request), std::invalid_argument);
+}
+
+TEST(SimEngineSynthesis, ColdRunSynthesizesEachSharedLayerOnce)
+{
+    // sparten, loas and gamma are three format families over the plain
+    // workload, loas-ft one over the ft workload: 3 layers x 2
+    // variants are 6 distinct tensors, however many families and
+    // worker threads miss them.
+    SimRequest request = smallRequest();
+    for (const int threads : {1, 8}) {
+        SCOPED_TRACE(threads);
+        request.threads = threads;
+        const SimReport report = SimEngine().run(request);
+        EXPECT_EQ(report.synthesized_layers, 6u);
+        EXPECT_EQ(report.compile_cache.misses, 12u);
+    }
+}
+
+TEST(SimEngineSynthesis, WarmDiskRunSynthesizesNothing)
+{
+    const std::filesystem::path dir =
+        std::filesystem::path(::testing::TempDir()) / "loas-synth-warm";
+    std::filesystem::remove_all(dir);
+    SimRequest request = smallRequest();
+    request.cache_dir = dir.string();
+
+    const SimReport cold = SimEngine().run(request);
+    EXPECT_EQ(cold.synthesized_layers, 6u);
+    const SimReport warm = SimEngine().run(request);
+    EXPECT_EQ(warm.compile_cache.misses, 0u);
+    EXPECT_EQ(warm.synthesized_layers, 0u);
+    EXPECT_EQ(json::toJson(cold), json::toJson(warm));
+    // The counter is a side channel: the report JSON never shows it.
+    EXPECT_EQ(json::toJson(warm).find("synthesized"), std::string::npos);
+}
+
+TEST(SimEngineSynthesis, OneMissingFamilySynthesizesOnlyItsLayers)
+{
+    CompiledCache shared;
+    SimRequest request = smallRequest();
+    request.accels = {"sparten", "loas-ft"};
+    request.compiled_cache = &shared;
+    EXPECT_EQ(SimEngine().run(request).synthesized_layers, 6u);
+
+    // gamma is the only family that misses: its 3 plain layers are
+    // synthesized, the ft variant is not touched.
+    request.accels.push_back("gamma?pes=8");
+    const SimReport report = SimEngine().run(request);
+    EXPECT_EQ(report.compile_cache.misses, 3u);
+    EXPECT_EQ(report.synthesized_layers, 3u);
+
+    request.compiled_cache = nullptr;
+    const SimReport fresh = SimEngine().run(request);
+    EXPECT_EQ(json::toJson(report), json::toJson(fresh));
 }
 
 TEST(SimEngineJson, ReportSerializesEveryRun)

@@ -81,6 +81,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
@@ -384,13 +385,15 @@ processCache(const CacheFlags& flags)
 
 /** One-line cache accounting summary (stderr, grep-friendly). */
 void
-printCacheSummary(const CompiledCache::Stats& stats)
+printCacheSummary(const CompiledCache::Stats& stats,
+                  std::uint64_t synthesized_layers)
 {
     std::fprintf(
         stderr,
         "compile cache: %llu misses, %llu hits, %llu disk hits, "
         "%llu disk writes, %llu disk rejects, %llu evictions, "
-        "%.3f compile ms, %.1f KB resident\n",
+        "%.3f compile ms, %.1f KB resident, "
+        "%llu layers synthesized\n",
         static_cast<unsigned long long>(stats.misses),
         static_cast<unsigned long long>(stats.hits),
         static_cast<unsigned long long>(stats.disk_hits),
@@ -398,7 +401,8 @@ printCacheSummary(const CompiledCache::Stats& stats)
         static_cast<unsigned long long>(stats.disk_rejects),
         static_cast<unsigned long long>(stats.evictions),
         stats.compile_ms,
-        static_cast<double>(stats.bytes) / 1024.0);
+        static_cast<double>(stats.bytes) / 1024.0,
+        static_cast<unsigned long long>(synthesized_layers));
 }
 
 /** Write `content` to PATH, or stdout when PATH is "-". */
@@ -572,7 +576,7 @@ runRun(int argc, char** argv)
     request.compiled_cache = processCache(cache_flags);
 
     const SimReport report = SimEngine().run(request);
-    printCacheSummary(report.compile_cache);
+    printCacheSummary(report.compile_cache, report.synthesized_layers);
 
     // Summary table, normalized to the first requested accelerator.
     std::vector<std::string> headers = {"network", "accel", "cycles",
@@ -668,7 +672,7 @@ runSweep(int argc, char** argv)
     const SweepReport report = SweepEngine().run(request);
     // The CSV/JSON artifacts stay cache-agnostic (byte-identical cold
     // or warm); the accounting goes to stderr and --cache-stats.
-    printCacheSummary(report.compile_cache);
+    printCacheSummary(report.compile_cache, report.synthesized_layers);
 
     // Summary table; full per-cell detail goes to --csv/--json.
     const bool to_stdout = csv_path == "-" || json_path == "-";
@@ -1031,7 +1035,7 @@ runBench(int argc, char** argv)
     std::vector<std::pair<std::string, double>> metrics;
 
     // 1. Workload synthesis: the expensive calibrated tensor
-    //    generation the engine caches per (network, ft-variant).
+    //    generation the engine runs for layers that miss the cache.
     const NetworkSpec net =
         quick ? NetworkSpec{"alexnet-l4", {tables::alexnetL4()}}
               : tables::alexnet();
@@ -1226,7 +1230,7 @@ runBench(int argc, char** argv)
 
     for (const auto& [name, value] : metrics)
         std::printf("%-24s %12.3f\n", name.c_str(), value);
-    printCacheSummary(report.compile_cache);
+    printCacheSummary(report.compile_cache, report.synthesized_layers);
     for (const auto& [name, value] : kernel_metrics)
         std::printf("%-32s %16.3f\n", name.c_str(), value);
 
@@ -1309,7 +1313,9 @@ runCache(int argc, char** argv)
 
     // warm: compile once per (network, layer, family, ft, t, seed)
     // key through a disk-backed cache — misses write the files a
-    // later run/sweep/bench with the same --cache-dir will load.
+    // later run/sweep/bench with the same --cache-dir will load. A
+    // layer is synthesized only when some family misses it, so
+    // re-warming a full directory synthesizes nothing.
     const auto& registry = AcceleratorRegistry::instance();
     struct Variant
     {
@@ -1334,46 +1340,47 @@ runCache(int argc, char** argv)
     cache.setDiskDir(cache_flags.dir);
     const std::vector<NetworkSpec> networks =
         expandNetworkGrids(splitSpecList(network_list, ';'));
-    bool want_plain = false, want_ft = false;
-    for (const auto& variant : variants)
-        (variant.ft ? want_ft : want_plain) = true;
+    std::uint64_t synthesized = 0;
     for (const auto& net : networks) {
-        std::vector<LayerData> plain, ft;
-        if (want_plain)
-            plain = generateNetwork(net, seed);
-        if (want_ft)
-            ft = generateNetwork(net, seed, /*ft=*/true);
-        // Warm layers in parallel (--threads): prepare() is const and
-        // builds only locals, so concurrent calls on one instance are
-        // safe, and the cache's per-slot locking keeps each distinct
-        // key once-only.
-        for (const auto& variant : variants) {
-            const auto& layers = variant.ft ? ft : plain;
-            parallelFor(
-                layers.size(), resolveThreads(threads),
-                [&](std::size_t l) {
-                    cache.getOrCompile(
-                        compiledLayerKey(
-                            net.name, l, variant.ft,
-                            variant.instance->formatFamily(),
-                            layers[l].spec.t, seed),
-                        [&] {
-                            return variant.instance->prepare(
-                                layers[l]);
-                        });
-                });
-        }
+        // Warm (variant, layer) pairs in parallel (--threads):
+        // prepare() is const and builds only locals, so concurrent
+        // calls on one instance are safe, and the cache's and the
+        // workload's per-slot locking keep each distinct key compiled,
+        // and each layer synthesized, once. A layer's tensors are freed
+        // once every variant has its artifact.
+        std::array<std::size_t, 2> users = {0, 0};
+        for (const auto& variant : variants)
+            ++users[variant.ft ? 1 : 0];
+        LazyWorkload workload({net}, seed, 1, users);
+        const std::size_t n_layers = net.layers.size();
+        parallelFor(
+            variants.size() * n_layers, resolveThreads(threads),
+            [&](std::size_t i) {
+                const Variant& variant = variants[i / n_layers];
+                const std::size_t l = i % n_layers;
+                cache.getOrCompile(
+                    compiledLayerKey(net.name, l, variant.ft,
+                                     variant.instance->formatFamily(),
+                                     net.layers[l].t, seed),
+                    [&] {
+                        return variant.instance->prepare(
+                            workload.layer(0, variant.ft, l));
+                    });
+                workload.release(0, variant.ft, l);
+            });
+        synthesized += workload.synthesized();
     }
 
     const CompiledCache::Stats stats = cache.stats();
     const ArtifactStore::DiskStats disk = store.stats();
     std::printf("warmed %s: %llu compiled, %llu already on disk, "
-                "%llu files (%.1f KB) total\n",
+                "%llu files (%.1f KB) total, %llu layers synthesized\n",
                 store.dir().c_str(),
                 static_cast<unsigned long long>(stats.misses),
                 static_cast<unsigned long long>(stats.disk_hits),
                 static_cast<unsigned long long>(disk.files),
-                static_cast<double>(disk.bytes) / 1024.0);
+                static_cast<double>(disk.bytes) / 1024.0,
+                static_cast<unsigned long long>(synthesized));
     return writeCacheStats(cache_flags, stats);
 }
 
