@@ -232,7 +232,7 @@ OptionReader::find(const std::string& name)
 }
 
 int
-OptionReader::getInt(const std::string& name, int def, int min)
+OptionReader::getInt(const std::string& name, int def, int min, int max)
 {
     const std::string* value = find(name);
     if (value == nullptr)
@@ -244,12 +244,11 @@ OptionReader::getInt(const std::string& name, int def, int min)
         throw std::invalid_argument("option '" + name + "=" + *value +
                                     "' of spec '" + spec_.key +
                                     "' is not an integer");
-    if (errno == ERANGE || parsed < min ||
-        parsed > std::numeric_limits<int>::max())
+    if (errno == ERANGE || parsed < min || parsed > max)
         throw std::invalid_argument(
             "option '" + name + "=" + *value + "' of spec '" +
-            spec_.key + "' is out of range (min " +
-            std::to_string(min) + ")");
+            spec_.key + "' is outside [" + std::to_string(min) + ", " +
+            std::to_string(max) + "]");
     return static_cast<int>(parsed);
 }
 

@@ -12,6 +12,7 @@
 
 #pragma once
 
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
@@ -114,11 +115,13 @@ class OptionReader
     explicit OptionReader(AccelSpec spec) : spec_(std::move(spec)) {}
 
     /**
-     * Integer option. Throws if present but not an integer, or below
-     * `min` — every current option is a positive hardware quantity
-     * (PEs, timesteps, bits), so the default floor is 1.
+     * Integer option. Throws if present but not an integer, or outside
+     * [min, max] — every current option is a positive hardware
+     * quantity (PEs, timesteps, bits), so the default floor is 1. The
+     * error message states the range.
      */
-    int getInt(const std::string& name, int def, int min = 1);
+    int getInt(const std::string& name, int def, int min = 1,
+               int max = std::numeric_limits<int>::max());
 
     /** Boolean option: 1/0/true/false/yes/no. */
     bool getBool(const std::string& name, bool def);

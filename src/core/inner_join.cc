@@ -4,6 +4,7 @@
 
 #include "common/bitutil.hh"
 #include "common/logging.hh"
+#include "core/kernel_dispatch.hh"
 
 namespace loas {
 
@@ -12,6 +13,10 @@ InnerJoinUnit::InnerJoinUnit(const InnerJoinConfig& config, int timesteps)
 {
     if (timesteps < 1 || timesteps > kMaxTimesteps)
         fatal("InnerJoinUnit: timesteps %d unsupported", timesteps);
+    if (config.chunk_bits < 1 || config.fifo_depth < 1 ||
+        config.laggy_adders < 1)
+        fatal("InnerJoinUnit: chunk_bits, fifo_depth and laggy_adders "
+              "must be >= 1");
 }
 
 const JoinResult&
@@ -25,119 +30,128 @@ InnerJoinUnit::join(const SpikeFiber& fiber_a,
         panic("inner join over mismatched fiber lengths %zu vs %zu",
               fiber_a.mask.size(), fiber_b.mask.size());
 
-    const std::size_t k = fiber_a.mask.size();
     const std::size_t chunk_bits = config_.chunk_bits;
+    const std::size_t num_chunks = ceilDiv(fiber_a.mask.size(), chunk_bits);
     const std::uint64_t laggy_latency = config_.laggyLatency();
+    const std::size_t fifo_depth = config_.fifo_depth;
     const TimeWord all_ones =
         timesteps_ >= kMaxTimesteps
             ? ~TimeWord{0}
             : static_cast<TimeWord>((TimeWord{1} << timesteps_) - 1);
 
     JoinResult& result = scratch.result;
-    result.cycles = 0;
-    result.matches = 0;
-    result.corrections = 0;
-    result.spike_value_bytes = 0;
-    result.ops = OpCounts{};
     result.sums.assign(static_cast<std::size_t>(timesteps_), 0);
     result.matched_offsets_a.clear();
-
-    std::int64_t pseudo = 0;
     scratch.correction.assign(static_cast<std::size_t>(timesteps_), 0);
     std::int64_t* const correction = scratch.correction.data();
+    std::int64_t pseudo = 0;
 
-    // Pipeline timestamps (cycle numbers).
-    std::uint64_t now = config_.setup_cycles; // fast path frontier
-    std::uint64_t prev_check = 0;   // completion of last check
-    std::uint64_t last_event = now; // overall completion frontier
-
-    // Completion cycles of in-flight FIFO entries (for the depth
-    // bound), kept in a fixed-capacity ring inside the scratch.
-    const std::size_t fifo_cap = config_.fifo_depth + 1;
-    if (scratch.fifo.size() < fifo_cap)
-        scratch.fifo.resize(fifo_cap);
+    // The FIFOs hold the check-completion cycles of the last
+    // fifo_depth matches; a ring of that size indexed by match number
+    // always has the oldest in-flight entry at the next write slot.
+    if (scratch.fifo.size() < fifo_depth)
+        scratch.fifo.resize(fifo_depth);
     std::uint64_t* const fifo = scratch.fifo.data();
-    std::size_t fifo_head = 0, fifo_tail = 0, fifo_count = 0;
+    std::size_t fifo_slot = 0;
 
-    const std::size_t value_bytes =
-        static_cast<std::size_t>(ceilDiv(timesteps_, 8));
+    // Pipeline timestamps (cycle numbers). Only live chunks (those
+    // with a match) drive the recurrence: an empty chunk costs its one
+    // AND cycle on the fast-path frontier and nothing else, so a run
+    // of them is folded in as one addition when the next live chunk
+    // (or the end of the fiber) arrives. `now` is the fast-path
+    // frontier, `prev_check` the completion of the last check,
+    // `laggy_ready` when the live chunk's spike offsets are ready,
+    // `next_chunk` the first chunk not yet on the timeline and
+    // `chunk_end` one past the live chunk's last bit.
+    std::uint64_t now = config_.setup_cycles;
+    std::uint64_t prev_check = 0;
+    std::uint64_t laggy_ready = 0;
+    std::size_t next_chunk = 0;
+    std::size_t chunk_end = 0;
+    std::uint64_t live_chunks = 0;
+    std::uint64_t matches = 0;
+    std::uint64_t corrections = 0;
+    std::uint64_t correction_ops = 0;
 
-    for (std::size_t chunk_lo = 0; chunk_lo < k; chunk_lo += chunk_bits) {
-        const std::size_t chunk_hi = std::min(chunk_lo + chunk_bits, k);
+    const auto& words_a = fiber_a.mask.words();
+    const std::uint64_t* const wa = words_a.data();
+    const std::uint64_t* const wb = fiber_b.mask.words().data();
+    const std::size_t num_words = words_a.size();
+    const kernels::KernelOps& kops = kernels::ops();
+    for (std::size_t w = kops.firstMatchWord(wa, wb, 0, num_words);
+         w < num_words; w = kops.firstMatchWord(wa, wb, w + 1, num_words)) {
+        const std::uint64_t aw = wa[w];
+        const std::uint64_t bw = wb[w];
+        const std::size_t base = w * Bitmask::kWordBits;
+        const std::size_t ra = rank_a.wordRank(w);
+        const std::size_t rb = rank_b.wordRank(w);
+        for (std::uint64_t x = aw & bw; x != 0; x &= x - 1) {
+            const int bit = lowestSetBit(x);
+            const std::size_t pos = base + static_cast<std::size_t>(bit);
+            if (pos >= chunk_end) {
+                // First match of a new live chunk: one AND cycle per
+                // skipped empty chunk, one for this chunk's own AND.
+                // The laggy circuit is a deeply pipelined serial
+                // prefix chain, so this chunk's spike-side offsets
+                // emerge laggyLatency() cycles after its AND.
+                const std::size_t chunk = pos / chunk_bits;
+                now += chunk - next_chunk + 1;
+                laggy_ready = now + laggy_latency;
+                next_chunk = chunk + 1;
+                chunk_end = next_chunk * chunk_bits;
+                ++live_chunks;
+            }
 
-        // One cycle to AND the buffered chunk masks and priority-encode.
-        const std::uint64_t and_done = now + 1;
-        result.ops.mask_and_ops += 1;
-        now = and_done;
-        last_event = std::max(last_event, and_done);
-
-        if (!anyMatch(fiber_a.mask, fiber_b.mask, chunk_lo, chunk_hi))
-            continue;
-
-        // The laggy circuit is a deeply pipelined serial prefix chain:
-        // a chunk enters every cycle and its offsets emerge
-        // laggyLatency() cycles later (that latency - not throughput -
-        // is what distinguishes it from the single-cycle fast tree).
-        const std::uint64_t laggy_ready = and_done + laggy_latency;
-        result.ops.laggy_prefix_ops += laggy_latency;
-
-        forEachMatch(rank_a, rank_b, chunk_lo, chunk_hi,
-                     [&](std::size_t, std::size_t a_off,
-                         std::size_t b_off) {
             // Fast path: one offset per cycle, stalling on FIFO-full.
             std::uint64_t emit = now + 1;
-            while (fifo_count >= config_.fifo_depth) {
-                emit = std::max(emit, fifo[fifo_head] + 1);
-                fifo_head = (fifo_head + 1) % fifo_cap;
-                --fifo_count;
-            }
+            if (matches >= fifo_depth)
+                emit = std::max(emit, fifo[fifo_slot] + 1);
             now = emit;
-            result.ops.fast_prefix_ops += 1;
-            result.ops.fifo_ops += 2; // push into FIFO-mp and FIFO-B
-
-            // Speculative accumulate of the matched weight.
-            const std::int32_t weight = fiber_b.values[b_off];
-            pseudo += weight;
-            result.ops.acc_ops += 1;
 
             // Check path: drains after the laggy circuit is ready.
             const std::uint64_t check =
                 std::max({prev_check + 1, laggy_ready, emit + 1});
             prev_check = check;
-            fifo[fifo_tail] = check;
-            fifo_tail = (fifo_tail + 1) % fifo_cap;
-            ++fifo_count;
-            result.ops.fifo_ops += 2; // pop both FIFOs
+            fifo[fifo_slot] = check;
+            if (++fifo_slot == fifo_depth)
+                fifo_slot = 0;
 
-            const TimeWord spike_word = fiber_a.values[a_off];
-            result.spike_value_bytes += value_bytes;
+            const std::size_t a_off =
+                ra + static_cast<std::size_t>(
+                         popcount64(aw & lowMask64(bit)));
+            const std::size_t b_off =
+                rb + static_cast<std::size_t>(
+                         popcount64(bw & lowMask64(bit)));
             result.matched_offsets_a.push_back(
                 static_cast<std::uint32_t>(a_off));
-            if (spike_word != all_ones) {
-                // Mis-speculation: subtract the weight from every
-                // timestep whose spike bit is zero.
-                result.corrections += 1;
-                for (int t = 0; t < timesteps_; ++t) {
-                    if (!((spike_word >> t) & 1u)) {
-                        correction[static_cast<std::size_t>(t)] += weight;
-                        result.ops.correction_ops += 1;
-                    }
-                }
-            }
-            result.matches += 1;
-            last_event = std::max(last_event, check);
-        });
+            const TimeWord spike_word = fiber_a.values[a_off];
+            if (spike_word != all_ones)
+                ++corrections; // mis-speculation
+            correction_ops += static_cast<std::uint64_t>(
+                kernels::collapseMatch(fiber_b.values[b_off], spike_word,
+                                       all_ones, pseudo, correction));
+            ++matches;
+        }
     }
+    now += num_chunks - next_chunk;
 
     // Final correction subtraction into each timestep's accumulator.
-    for (int t = 0; t < timesteps_; ++t) {
-        const auto ts = static_cast<std::size_t>(t);
-        const std::int64_t sum = pseudo - correction[ts];
-        result.sums[ts] = static_cast<std::int32_t>(sum);
-        result.ops.correction_ops += 1;
-    }
+    for (std::size_t t = 0; t < result.sums.size(); ++t)
+        result.sums[t] = static_cast<std::int32_t>(pseudo - correction[t]);
 
-    result.cycles = last_event + config_.drain_cycles;
+    result.cycles = std::max(now, prev_check) + config_.drain_cycles;
+    result.matches = matches;
+    result.corrections = corrections;
+    result.spike_value_bytes =
+        matches * static_cast<std::uint64_t>(ceilDiv(timesteps_, 8));
+    result.ops = OpCounts{};
+    result.ops.mask_and_ops = num_chunks;
+    result.ops.laggy_prefix_ops = live_chunks * laggy_latency;
+    result.ops.fast_prefix_ops = matches;
+    result.ops.acc_ops = matches;      // speculative accumulates
+    result.ops.fifo_ops = 4 * matches; // push + pop of FIFO-mp and B
+    result.ops.correction_ops =
+        correction_ops + static_cast<std::uint64_t>(timesteps_);
     return result;
 }
 

@@ -22,11 +22,22 @@
  * The final per-timestep full sums are pseudo - correction[t], exactly
  * Eq. (1) of the paper.
  *
- * The host-side kernel is allocation-free and word-parallel: matches
- * are extracted by ANDing the operands' 64-bit mask words directly
- * (one ctz per match), both fiber offsets come from the O(1)
- * RankedBitmask prefix tables compiled in prepare(), and all working
- * state lives in a caller-owned JoinScratch reused across calls.
+ * Live-chunk timing: only chunks with at least one match do timing
+ * work. An empty chunk costs its one AND cycle on the fast-path
+ * frontier and nothing else, so the model walks the matches alone and
+ * advances the frontier by g cycles for each run of g empty chunks.
+ * The cost of a join is O(matched words + matches), not O(chunks).
+ * Each match's chunk is `pos / chunk_bits`, computed once per live
+ * chunk.
+ *
+ * The host-side kernel is allocation-free and word-parallel: the
+ * kernel table is fetched once per join, its dispatched
+ * firstMatchWord scan hops over zero AND words of the whole fiber,
+ * matches come out one ctz at a time, both fiber offsets come from
+ * the O(1) RankedBitmask prefix tables compiled in prepare(), and the
+ * per-match arithmetic is kernels::collapseMatch, the same Eq. 1 step
+ * as the fused collapse kernel. All working state lives in a
+ * caller-owned JoinScratch reused across calls.
  */
 
 #pragma once
@@ -76,7 +87,7 @@ struct JoinScratch
 {
     JoinResult result;
     std::vector<std::int64_t> correction;   // one slot per timestep
-    std::vector<std::uint64_t> fifo;        // in-flight check ring
+    std::vector<std::uint64_t> fifo;        // last fifo_depth checks
 };
 
 /** Cycle-level model of one TPPE's inner-join datapath. */

@@ -122,16 +122,9 @@ scalarFusedCollapseJoin(const std::uint64_t* a, const std::uint64_t* b,
             const std::int32_t weight =
                 b_vals[rb + static_cast<std::uint32_t>(
                                 __builtin_popcountll(bw & low))];
-            p += weight;
             ++accs;
-            std::uint32_t zeros = ~tw & all_ones;
             corrs += static_cast<std::uint64_t>(
-                __builtin_popcount(zeros));
-            while (zeros) {
-                const int t = __builtin_ctz(zeros);
-                zeros &= zeros - 1;
-                correction[t] += weight;
-            }
+                collapseMatch(weight, tw, all_ones, p, correction));
             ++matches;
         }
     }

@@ -138,5 +138,27 @@ bool parseIsa(const std::string& name, Isa* out);
 /** The dispatch table for the resolved ISA. */
 const KernelOps& ops();
 
+/**
+ * One match of Eq. 1's speculate-and-correct step, shared by the
+ * scalar collapse kernel and the LoAS inner join: add `weight` to the
+ * pseudo-accumulator (speculating an all-ones spike word) and into
+ * correction[t] for every zero bit t of the temporal word `tw` within
+ * `all_ones`. Returns the number of corrected timesteps.
+ */
+inline int
+collapseMatch(std::int32_t weight, std::uint32_t tw,
+              std::uint32_t all_ones, std::int64_t& pseudo,
+              std::int64_t* correction)
+{
+    pseudo += weight;
+    std::uint32_t zeros = ~tw & all_ones;
+    const int corrected = __builtin_popcount(zeros);
+    while (zeros) {
+        correction[__builtin_ctz(zeros)] += weight;
+        zeros &= zeros - 1;
+    }
+    return corrected;
+}
+
 } // namespace kernels
 } // namespace loas

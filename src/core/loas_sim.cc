@@ -272,6 +272,13 @@ LoasSim::executeInput(const CompiledLayer& compiled, std::size_t input,
 
 namespace {
 
+/**
+ * Largest accepted `cache_kb` (64 MiB): the cache model holds one tag,
+ * tick, category and dirty flag per line, so an unbounded size would
+ * let one spec string claim gigabytes of host memory.
+ */
+constexpr int kMaxCacheKb = 64 * 1024;
+
 LoasConfig
 loasConfigFromSpec(OptionReader& opts)
 {
@@ -284,8 +291,8 @@ loasConfigFromSpec(OptionReader& opts)
         opts.getBool("pipelined", config.pipelined_waves);
     config.cache.size_bytes =
         static_cast<std::uint64_t>(opts.getInt(
-            "cache_kb",
-            static_cast<int>(config.cache.size_bytes / 1024))) *
+            "cache_kb", static_cast<int>(config.cache.size_bytes / 1024),
+            1, kMaxCacheKb)) *
         1024;
     // Table III: 128 GB/s at 800 MHz is 160 bytes per cycle.
     config.dram.bytes_per_cycle =

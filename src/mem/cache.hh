@@ -4,6 +4,18 @@
  * (Table III: 256 KB, 16 banks, 16-way). Used to derive hit/miss rates
  * and the resulting off-chip traffic; latency is folded into the
  * bandwidth overlap model by the simulators.
+ *
+ * Layout is structure-of-arrays: the tags of a set sit contiguously
+ * (set * ways + way), so a lookup scans adjacent words, with last-use
+ * ticks, categories and dirty flags in parallel arrays that are only
+ * touched on a hit's update or a miss's fill. An empty way
+ * holds the kInvalidTag sentinel instead of a valid flag. The line
+ * address is `addr >> log2(line_bytes)`; the set index masks it when
+ * the set count is a power of two and takes `%` otherwise (48 KB
+ * gives 48 sets).
+ *
+ * Victim rule on a miss: the first empty way of the set, else the way
+ * with the lowest last-use tick (the least recently used).
  */
 
 #pragma once
@@ -74,19 +86,27 @@ class Cache
      */
     void reset();
 
+    /** Line address of `a` (its index in line-sized units). */
+    std::uint64_t lineOf(std::uint64_t a) const { return a >> line_shift_; }
+
   private:
-    struct Line
-    {
-        std::uint64_t tag = 0;
-        std::uint64_t last_use = 0;
-        TensorCategory cat = TensorCategory::Input;
-        bool valid = false;
-        bool dirty = false;
-    };
+    /**
+     * Tag of an empty way. Only line address 2^64 - 1 collides with
+     * it, which needs 1-byte lines and the last byte of the address
+     * space.
+     */
+    static constexpr std::uint64_t kInvalidTag = ~std::uint64_t{0};
 
     CacheConfig config_;
+    int line_shift_;
     std::uint64_t num_sets_;
-    std::vector<Line> lines_; // num_sets * ways
+    /** Set index by mask (power-of-two set count) instead of %. */
+    bool pow2_sets_;
+    // num_sets * ways entries each, indexed set * ways + way.
+    std::vector<std::uint64_t> tags_;
+    std::vector<std::uint64_t> last_use_;
+    std::vector<TensorCategory> cats_;
+    std::vector<std::uint8_t> dirty_;
     std::uint64_t tick_ = 0;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;

@@ -40,39 +40,34 @@ void
 MemorySystem::readRun(TensorCategory cat, std::uint64_t addr,
                       std::uint64_t bytes, std::uint64_t payload_bytes)
 {
-    const int c = static_cast<int>(cat);
-    stats_.sram_read[c] += payload_bytes;
-    const std::uint32_t line = cache_.config().line_bytes;
-    const std::uint64_t first = addr / line;
-    const std::uint64_t last = (addr + (bytes ? bytes - 1 : 0)) / line;
-    for (std::uint64_t l = first; l <= last; ++l) {
-        const auto result = cache_.accessLine(l * line, false, cat);
-        if (!result.hit)
-            stats_.dram_read[c] += line;
-        if (result.writeback) {
-            stats_.dram_write[static_cast<int>(result.writeback_cat)] +=
-                line;
-        }
-    }
+    stats_.sram_read[static_cast<int>(cat)] += payload_bytes;
+    walkLines(cat, addr, bytes, false);
 }
 
 void
 MemorySystem::write(TensorCategory cat, std::uint64_t addr,
                     std::uint64_t bytes)
 {
+    stats_.sram_write[static_cast<int>(cat)] += bytes;
+    walkLines(cat, addr, bytes, true);
+}
+
+void
+MemorySystem::walkLines(TensorCategory cat, std::uint64_t addr,
+                        std::uint64_t bytes, bool write)
+{
     const int c = static_cast<int>(cat);
-    stats_.sram_write[c] += bytes;
-    const std::uint32_t line = cache_.config().line_bytes;
-    const std::uint64_t first = addr / line;
-    const std::uint64_t last = (addr + (bytes ? bytes - 1 : 0)) / line;
+    const std::uint64_t line_bytes = cache_.config().line_bytes;
+    const std::uint64_t first = cache_.lineOf(addr);
+    const std::uint64_t last =
+        cache_.lineOf(addr + (bytes ? bytes - 1 : 0));
     for (std::uint64_t l = first; l <= last; ++l) {
-        const auto result = cache_.accessLine(l * line, true, cat);
+        const auto result = cache_.accessLine(l * line_bytes, write, cat);
         if (!result.hit)
-            stats_.dram_read[c] += line; // write-allocate fill
-        if (result.writeback) {
+            stats_.dram_read[c] += line_bytes;
+        if (result.writeback)
             stats_.dram_write[static_cast<int>(result.writeback_cat)] +=
-                line;
-        }
+                line_bytes;
     }
 }
 

@@ -81,6 +81,14 @@ class MemorySystem
     std::uint64_t dramCyclesFor(std::uint64_t bytes) const;
 
   private:
+    /**
+     * Walk every cache line of [addr, addr + bytes) once: a miss fills
+     * the line from DRAM (a write allocates), and a dirty eviction is
+     * written back under its own category.
+     */
+    void walkLines(TensorCategory cat, std::uint64_t addr,
+                   std::uint64_t bytes, bool write);
+
     Cache cache_;
     DramConfig dram_;
     TrafficStats stats_;

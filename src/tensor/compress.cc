@@ -16,6 +16,9 @@ compressSpikeRow(const SpikeTensor& spikes, std::size_t row)
             fiber.values.push_back(w);
         }
     }
+    // Compiled fibers stay resident in the artifact cache for the life
+    // of a run or daemon: drop push_back's growth slack.
+    fiber.values.shrink_to_fit();
     return fiber;
 }
 
@@ -63,6 +66,7 @@ compressWeightColumn(const DenseMatrix<std::int8_t>& weights,
             fiber.values.push_back(v);
         }
     }
+    fiber.values.shrink_to_fit();
     return fiber;
 }
 
@@ -88,6 +92,7 @@ compressWeightRow(const DenseMatrix<std::int8_t>& weights, std::size_t row)
             fiber.values.push_back(v);
         }
     }
+    fiber.values.shrink_to_fit();
     return fiber;
 }
 

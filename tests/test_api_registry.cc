@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "api/registry.hh"
+#include "api/sim_engine.hh"
+#include "workload/compiled_cache.hh"
+#include "workload/networks.hh"
 
 namespace loas {
 namespace {
@@ -133,6 +137,37 @@ TEST(Registry, UnknownKeyAndBadOptionsThrow)
     // collapse is a fraction: values outside [0, 1] are rejected.
     EXPECT_THROW(registry.make("sparten?collapse=1.5"),
                  std::invalid_argument);
+}
+
+TEST(Registry, CacheKbIsBoundedBeforeAnySynthesis)
+{
+    // The cache model holds per-line state, so cache_kb is capped at
+    // 64 MiB; the error names the accepted range.
+    const auto& registry = AcceleratorRegistry::instance();
+    EXPECT_NO_THROW(registry.make("loas?cache_kb=65536"));
+    for (const std::string spec :
+         {"loas?cache_kb=65537", "loas-ft?cache_kb=65537",
+          "loas?cache_kb=2147483647", "loas?cache_kb=0"}) {
+        SCOPED_TRACE(spec);
+        try {
+            registry.make(spec);
+            ADD_FAILURE() << "accepted";
+        } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find("[1, 65536]"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+
+    // A run naming it fails request validation before anything is
+    // synthesized or compiled, even behind a valid design.
+    SimRequest request;
+    request.accels = {"loas", "loas?cache_kb=65537"};
+    request.networks = {NetworkSpec{"net", {tables::alexnetL4()}}};
+    CompiledCache cache;
+    request.compiled_cache = &cache;
+    EXPECT_THROW(SimEngine().run(request), std::invalid_argument);
+    EXPECT_EQ(cache.stats().misses, 0u);
 }
 
 } // namespace

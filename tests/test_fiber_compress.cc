@@ -60,6 +60,9 @@ TEST(SpikeFiber, RoundTrip)
     const auto fibers = compressSpikeRows(a);
     const SpikeTensor back = decompressSpikeRows(fibers, 77, 4);
     EXPECT_EQ(a, back);
+    // Compiled fibers stay cached: no push_back growth slack.
+    for (const auto& f : fibers)
+        EXPECT_EQ(f.values.capacity(), f.values.size());
 }
 
 TEST(WeightFiber, ColumnRoundTrip)
@@ -75,6 +78,12 @@ TEST(WeightFiber, ColumnRoundTrip)
     ASSERT_EQ(fibers.size(), 20u);
     const auto back = decompressWeightColumns(fibers, 50);
     EXPECT_EQ(b, back);
+    for (const auto& f : fibers)
+        EXPECT_EQ(f.values.capacity(), f.values.size());
+    for (std::size_t r = 0; r < b.rows(); ++r) {
+        const WeightFiber row = compressWeightRow(b, r);
+        EXPECT_EQ(row.values.capacity(), row.values.size());
+    }
 }
 
 TEST(WeightFiber, RowCompressionMatchesColumnOfTranspose)

@@ -265,11 +265,11 @@ TEST(FusedJoinDeathTest, RejectsBadArguments)
         "correction");
 }
 
-TEST(ForEachMatch, FullRangeTwoRankOverloadAgreesWithRanged)
+TEST(ForEachMatch, FullRangeTwoRankOverloadAgreesWithBitScan)
 {
-    // The fused kernel's overload must visit exactly the matches of
-    // the ranged overload over [0, k), with identical rank pairs —
-    // including partial trailing words.
+    // The fused kernel's overload must visit exactly the positions set
+    // in both masks, in order, with both ranks — including partial
+    // trailing words.
     for (const std::size_t k : {1ul, 64ul, 65ul, 130ul, 511ul}) {
         Rng rng(k * 13 + 1);
         Bitmask a(k), b(k);
@@ -281,13 +281,13 @@ TEST(ForEachMatch, FullRangeTwoRankOverloadAgreesWithRanged)
         }
         const RankedBitmask ra(a), rb(b);
         std::vector<std::size_t> want, got;
-        forEachMatch(ra, rb, 0, k,
-                     [&](std::size_t pos, std::size_t rank_a,
-                         std::size_t rank_b) {
-                         want.push_back(pos);
-                         want.push_back(rank_a);
-                         want.push_back(rank_b);
-                     });
+        for (std::size_t i = 0; i < k; ++i) {
+            if (a.test(i) && b.test(i)) {
+                want.push_back(i);
+                want.push_back(a.rank(i));
+                want.push_back(b.rank(i));
+            }
+        }
         forEachMatch(ra, rb,
                      [&](std::size_t pos, std::size_t rank_a,
                          std::size_t rank_b) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+
+#include "common/bitutil.hh"
 #include "common/rng.hh"
 #include "core/inner_join.hh"
 #include "tensor/compress.hh"
@@ -181,6 +185,235 @@ TEST(InnerJoin, MatchedOffsetsIndexFiberValues)
     ASSERT_EQ(r.matched_offsets_a.size(), 2u);
     EXPECT_EQ(r.matched_offsets_a[0], 1u); // a5 is the 2nd stored value
     EXPECT_EQ(r.matched_offsets_a[1], 2u);
+}
+
+/**
+ * Reference model: the per-chunk join loop the live-chunk kernel
+ * replaced, kept verbatim in behaviour. Every chunk pays its AND
+ * cycle and is scanned bit by bit; chunks with a match start the
+ * laggy circuit and push each match through a depth-bounded FIFO.
+ */
+JoinResult
+referenceJoin(const InnerJoinConfig& config, int timesteps,
+              const SpikeFiber& fa, const WeightFiber& fb)
+{
+    JoinResult r;
+    r.sums.assign(static_cast<std::size_t>(timesteps), 0);
+    const std::size_t k = fa.mask.size();
+    const std::uint64_t laggy_latency = config.laggyLatency();
+    const TimeWord all_ones =
+        timesteps >= kMaxTimesteps
+            ? ~TimeWord{0}
+            : static_cast<TimeWord>((TimeWord{1} << timesteps) - 1);
+    std::int64_t pseudo = 0;
+    std::vector<std::int64_t> correction(
+        static_cast<std::size_t>(timesteps), 0);
+    std::uint64_t now = config.setup_cycles;
+    std::uint64_t prev_check = 0;
+    std::uint64_t last_event = now;
+    std::deque<std::uint64_t> fifo;
+
+    for (std::size_t lo = 0; lo < k; lo += config.chunk_bits) {
+        const std::size_t hi = std::min(lo + config.chunk_bits, k);
+        const std::uint64_t and_done = now + 1;
+        r.ops.mask_and_ops += 1;
+        now = and_done;
+        last_event = std::max(last_event, and_done);
+
+        std::vector<std::size_t> hits;
+        for (std::size_t pos = lo; pos < hi; ++pos)
+            if (fa.mask.test(pos) && fb.mask.test(pos))
+                hits.push_back(pos);
+        if (hits.empty())
+            continue;
+        const std::uint64_t laggy_ready = and_done + laggy_latency;
+        r.ops.laggy_prefix_ops += laggy_latency;
+
+        for (const std::size_t pos : hits) {
+            std::uint64_t emit = now + 1;
+            while (fifo.size() >= config.fifo_depth) {
+                emit = std::max(emit, fifo.front() + 1);
+                fifo.pop_front();
+            }
+            now = emit;
+            r.ops.fast_prefix_ops += 1;
+            r.ops.fifo_ops += 2;
+
+            const std::int32_t weight = fb.values[fb.mask.rank(pos)];
+            pseudo += weight;
+            r.ops.acc_ops += 1;
+
+            const std::uint64_t check =
+                std::max({prev_check + 1, laggy_ready, emit + 1});
+            prev_check = check;
+            fifo.push_back(check);
+            r.ops.fifo_ops += 2;
+
+            const std::size_t a_off = fa.mask.rank(pos);
+            const TimeWord spike_word = fa.values[a_off];
+            r.spike_value_bytes += ceilDiv(timesteps, 8);
+            r.matched_offsets_a.push_back(
+                static_cast<std::uint32_t>(a_off));
+            if (spike_word != all_ones) {
+                r.corrections += 1;
+                for (int t = 0; t < timesteps; ++t) {
+                    if (!((spike_word >> t) & 1u)) {
+                        correction[static_cast<std::size_t>(t)] += weight;
+                        r.ops.correction_ops += 1;
+                    }
+                }
+            }
+            r.matches += 1;
+            last_event = std::max(last_event, check);
+        }
+    }
+    for (int t = 0; t < timesteps; ++t) {
+        const auto ts = static_cast<std::size_t>(t);
+        r.sums[ts] = static_cast<std::int32_t>(pseudo - correction[ts]);
+        r.ops.correction_ops += 1;
+    }
+    r.cycles = last_event + config.drain_cycles;
+    return r;
+}
+
+void
+expectSameJoin(const JoinResult& got, const JoinResult& want)
+{
+    EXPECT_EQ(got.cycles, want.cycles);
+    EXPECT_EQ(got.sums, want.sums);
+    EXPECT_EQ(got.matches, want.matches);
+    EXPECT_EQ(got.corrections, want.corrections);
+    EXPECT_EQ(got.spike_value_bytes, want.spike_value_bytes);
+    EXPECT_EQ(got.matched_offsets_a, want.matched_offsets_a);
+    EXPECT_EQ(got.ops.acc_ops, want.ops.acc_ops);
+    EXPECT_EQ(got.ops.correction_ops, want.ops.correction_ops);
+    EXPECT_EQ(got.ops.mac_ops, want.ops.mac_ops);
+    EXPECT_EQ(got.ops.fast_prefix_ops, want.ops.fast_prefix_ops);
+    EXPECT_EQ(got.ops.laggy_prefix_ops, want.ops.laggy_prefix_ops);
+    EXPECT_EQ(got.ops.fifo_ops, want.ops.fifo_ops);
+    EXPECT_EQ(got.ops.lif_ops, want.ops.lif_ops);
+    EXPECT_EQ(got.ops.mask_and_ops, want.ops.mask_and_ops);
+    EXPECT_EQ(got.ops.merge_ops, want.ops.merge_ops);
+    EXPECT_EQ(got.ops.encode_ops, want.ops.encode_ops);
+}
+
+/** A fiber pair plus the name it is reported under. */
+struct FiberPair
+{
+    std::string name;
+    SpikeFiber a;
+    WeightFiber b;
+};
+
+/**
+ * Seeded fiber pair of length k: each position is stored in the spike
+ * fiber with probability `spike_density` (temporal word uniform in
+ * [1, all_ones], or all ones when `all_ones_words`), and in the weight
+ * fiber with probability `weight_density` (non-zero weight).
+ */
+FiberPair
+randomPair(const std::string& name, std::size_t k, int timesteps,
+           double spike_density, double weight_density,
+           bool all_ones_words, std::uint64_t seed)
+{
+    Rng rng(seed);
+    const TimeWord all_ones =
+        timesteps >= kMaxTimesteps
+            ? ~TimeWord{0}
+            : static_cast<TimeWord>((TimeWord{1} << timesteps) - 1);
+    FiberPair p;
+    p.name = name;
+    p.a.mask = Bitmask(k);
+    p.b.mask = Bitmask(k);
+    for (std::size_t i = 0; i < k; ++i) {
+        if (rng.bernoulli(spike_density)) {
+            p.a.mask.set(i);
+            p.a.values.push_back(
+                all_ones_words
+                    ? all_ones
+                    : static_cast<TimeWord>(1 + rng.uniformInt(all_ones)));
+        }
+        if (rng.bernoulli(weight_density)) {
+            p.b.mask.set(i);
+            const auto magnitude =
+                static_cast<std::int32_t>(1 + rng.uniformInt(200));
+            p.b.values.push_back(rng.bernoulli(0.5) ? magnitude
+                                                    : -magnitude);
+        }
+    }
+    return p;
+}
+
+/** The shapes of the differential grid for one configuration. */
+std::vector<FiberPair>
+differentialShapes(std::size_t chunk_bits, int timesteps,
+                   std::uint64_t seed)
+{
+    std::vector<FiberPair> shapes;
+    shapes.push_back(randomPair("empty", 0, timesteps, 0.5, 0.5, false,
+                                seed));
+    shapes.push_back(randomPair("all-ones words", 2 * chunk_bits + 77,
+                                timesteps, 0.4, 0.5, true, seed + 1));
+    // One match, at the very last position of a partial last chunk.
+    const std::size_t lone_k = 3 * chunk_bits + 5;
+    FiberPair lone = randomPair("lone last match", lone_k, timesteps,
+                                0.3, 0.0, false, seed + 2);
+    lone.b.mask.set(lone_k - 1);
+    lone.b.values.push_back(-9);
+    if (!lone.a.mask.test(lone_k - 1)) {
+        // Insert the spike word at its rank so values stay in order.
+        const std::size_t at = lone.a.mask.rank(lone_k - 1);
+        lone.a.mask.set(lone_k - 1);
+        lone.a.values.insert(lone.a.values.begin() +
+                                 static_cast<std::ptrdiff_t>(at),
+                             TimeWord{1});
+    }
+    shapes.push_back(std::move(lone));
+    // Every position matched: the FIFO fills in every chunk.
+    shapes.push_back(randomPair("dense chunks",
+                                2 * std::max<std::size_t>(chunk_bits, 64),
+                                timesteps, 1.0, 1.0, false, seed + 3));
+    for (const double density : {0.02, 0.3, 0.8})
+        shapes.push_back(randomPair(
+            "random " + std::to_string(density),
+            1 + static_cast<std::size_t>(seed % 700), timesteps, density,
+            0.6, false, seed + 4));
+    shapes.push_back(randomPair("long sparse", 9000, timesteps, 0.05, 0.3,
+                                false, seed + 5));
+    return shapes;
+}
+
+TEST(InnerJoinDifferential, LiveChunkKernelMatchesPerChunkReference)
+{
+    std::uint64_t seed = 1;
+    for (const std::size_t chunk_bits : {1, 63, 64, 100, 128, 200, 4096}) {
+        for (const std::size_t fifo_depth : {1, 2, 8}) {
+            for (const int adders : {1, 16}) {
+                for (const int timesteps : {1, 4, 8, 16, 32}) {
+                    InnerJoinConfig config;
+                    config.chunk_bits = chunk_bits;
+                    config.fifo_depth = fifo_depth;
+                    config.laggy_adders = adders;
+                    const InnerJoinUnit unit(config, timesteps);
+                    JoinScratch scratch; // reused across every shape
+                    for (const FiberPair& p : differentialShapes(
+                             chunk_bits, timesteps, seed++ * 7919)) {
+                        SCOPED_TRACE(
+                            p.name + " chunk=" +
+                            std::to_string(chunk_bits) +
+                            " fifo=" + std::to_string(fifo_depth) +
+                            " adders=" + std::to_string(adders) +
+                            " T=" + std::to_string(timesteps));
+                        const RankedBitmask ra(p.a.mask);
+                        const RankedBitmask rb(p.b.mask);
+                        expectSameJoin(
+                            unit.join(p.a, ra, p.b, rb, scratch),
+                            referenceJoin(config, timesteps, p.a, p.b));
+                    }
+                }
+            }
+        }
+    }
 }
 
 /**

@@ -97,31 +97,6 @@ referenceMatches(const Bitmask& a, const Bitmask& b, std::size_t lo,
     return out;
 }
 
-TEST(ForEachMatch, AgreesWithScalarReference)
-{
-    for (const std::size_t k : {1ul, 64ul, 67ul, 130ul, 512ul}) {
-        const Bitmask a = randomMask(k, 0.5, k * 2 + 1);
-        const Bitmask b = randomMask(k, 0.5, k * 3 + 7);
-        const RankedBitmask ra(a), rb(b);
-        for (std::size_t lo = 0; lo <= k; lo += 29) {
-            for (std::size_t hi = lo; hi <= k; hi += 37) {
-                const auto want = referenceMatches(a, b, lo, hi);
-                std::vector<std::size_t> got;
-                forEachMatch(ra, rb, lo, hi,
-                             [&](std::size_t pos, std::size_t rank_a,
-                                 std::size_t rank_b) {
-                                 EXPECT_EQ(rank_a, a.rank(pos));
-                                 EXPECT_EQ(rank_b, b.rank(pos));
-                                 got.push_back(pos);
-                             });
-                EXPECT_EQ(got, want) << "k=" << k << " lo=" << lo
-                                     << " hi=" << hi;
-                EXPECT_EQ(anyMatch(a, b, lo, hi), !want.empty());
-            }
-        }
-    }
-}
-
 TEST(ForEachMatch, FullRangeOverloadTracksWeightRank)
 {
     const std::size_t k = 200;
@@ -147,7 +122,7 @@ TEST(ForEachMatch, AllOnesBothSides)
     }
     const RankedBitmask ra(a), rb(b);
     std::size_t n = 0;
-    forEachMatch(ra, rb, 0, k,
+    forEachMatch(ra, rb,
                  [&](std::size_t pos, std::size_t rank_a,
                      std::size_t rank_b) {
                      EXPECT_EQ(pos, n);
