@@ -1,12 +1,9 @@
 #include "accel/accelerator.hh"
 
-#include "common/logging.hh"
-#include "common/parallel.hh"
-
 namespace loas {
 
 RunResult
-Accelerator::executeBatch(const CompiledLayer& compiled, int threads,
+Accelerator::executeBatch(const CompiledLayer& compiled,
                           std::vector<RunResult>* per_input)
 {
     const std::size_t batch = compiled.batch == 0 ? 1 : compiled.batch;
@@ -14,28 +11,13 @@ Accelerator::executeBatch(const CompiledLayer& compiled, int threads,
         per_input != nullptr ? *per_input : batch_slots_;
     slots.resize(batch);
 
-    // Pre-size every per-worker scratch pool before the parallel
-    // section; the loop body may then only index, never grow.
-    const std::size_t workers =
-        (threads <= 1 || batch <= 1)
-            ? 1
-            : std::min<std::size_t>(static_cast<std::size_t>(threads),
-                                    batch);
-    reserveWorkers(workers);
-
-    parallelForWorkers(batch, threads,
-                       [&](std::size_t worker, std::size_t input) {
-                           slots[input] =
-                               executeInput(compiled, input, worker);
-                       });
-
-    // Deterministic reduction: fixed per-input slots, summed in input
-    // order — the aggregate is bit-identical at any thread count.
     RunResult total;
     total.accel = name();
     total.workload = compiled.spec.name;
-    for (const auto& slot : slots)
-        total += slot;
+    for (std::size_t input = 0; input < batch; ++input) {
+        slots[input] = executeInput(compiled, input, 0);
+        total += slots[input];
+    }
     return total;
 }
 
@@ -54,56 +36,6 @@ Accelerator::runNetwork(const std::vector<LayerData>& layers,
     total.workload = workload_name;
     for (const auto& layer : layers)
         total += runLayer(layer);
-    return total;
-}
-
-RunResult
-Accelerator::runNetwork(
-    const std::vector<std::shared_ptr<const CompiledLayer>>& layers,
-    const std::string& workload_name)
-{
-    RunResult total;
-    total.accel = name();
-    total.workload = workload_name;
-    for (const auto& compiled : layers)
-        total += execute(*compiled);
-    return total;
-}
-
-RunResult
-Accelerator::runNetworkBatch(
-    const std::vector<std::shared_ptr<const CompiledLayer>>& layers,
-    const std::string& workload_name, int threads,
-    std::vector<RunResult>* per_input)
-{
-    RunResult total;
-    total.accel = name();
-    total.workload = workload_name;
-    if (per_input != nullptr)
-        per_input->clear();
-
-    std::vector<RunResult> layer_inputs;
-    for (const auto& compiled : layers) {
-        total += executeBatch(*compiled, threads,
-                              per_input != nullptr ? &layer_inputs
-                                                   : nullptr);
-        if (per_input == nullptr)
-            continue;
-        if (per_input->empty()) {
-            per_input->resize(layer_inputs.size());
-            for (auto& r : *per_input) {
-                r.accel = name();
-                r.workload = workload_name;
-            }
-        }
-        if (per_input->size() != layer_inputs.size())
-            fatal("network '%s': layer batch sizes disagree "
-                  "(%zu vs %zu)",
-                  workload_name.c_str(), per_input->size(),
-                  layer_inputs.size());
-        for (std::size_t b = 0; b < layer_inputs.size(); ++b)
-            (*per_input)[b] += layer_inputs[b];
-    }
     return total;
 }
 

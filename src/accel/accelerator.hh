@@ -66,31 +66,21 @@ class Accelerator
 
     /**
      * Phase 2 over one input of a batched compiled layer. `worker`
-     * selects the scratch pool slot and nothing else — two concurrent
-     * calls are safe iff their worker indices differ and
-     * reserveWorkers() pre-sized the pool. The layer must come from
-     * this design's format family (fatal otherwise).
+     * selects the scratch pool slot and nothing else; an instance is
+     * driven by one thread at a time (the SimEngine gives each engine
+     * thread its own instances). The layer must come from this
+     * design's format family (fatal otherwise).
      */
     virtual RunResult executeInput(const CompiledLayer& compiled,
                                    std::size_t input,
                                    std::size_t worker) = 0;
 
     /**
-     * Pre-size per-worker execute scratch so a batch-level parallel
-     * section never grows the pool concurrently. Called serially by
-     * executeBatch(); default no-op for designs without pools.
+     * Phase 2 over EVERY input of a batched compiled layer, serially,
+     * reduced into one aggregate in input order. With `per_input` the
+     * per-input results are copied out (resized to the batch).
      */
-    virtual void reserveWorkers(std::size_t workers) { (void)workers; }
-
-    /**
-     * Phase 2 over EVERY input of a batched compiled layer: a
-     * batch-level parallel loop over per-input fibers with per-worker
-     * scratch, reduced into one aggregate in input order (bit-identical
-     * at any thread count; each input's result lands in a fixed slot).
-     * With `per_input` the per-input results are copied out (resized to
-     * the batch). threads <= 1 runs serially on worker slot 0.
-     */
-    RunResult executeBatch(const CompiledLayer& compiled, int threads,
+    RunResult executeBatch(const CompiledLayer& compiled,
                            std::vector<RunResult>* per_input = nullptr);
 
     /** One-shot convenience: prepare + execute. */
@@ -99,23 +89,6 @@ class Accelerator
     /** Simulate a whole network; layer results are summed. */
     RunResult runNetwork(const std::vector<LayerData>& layers,
                          const std::string& workload_name);
-
-    /** Simulate a network from pre-compiled (possibly shared) layers. */
-    RunResult
-    runNetwork(const std::vector<std::shared_ptr<const CompiledLayer>>&
-                   layers,
-               const std::string& workload_name);
-
-    /**
-     * Simulate a network over every input of its batch. Layer results
-     * are summed per input; `per_input` (optional) receives the B
-     * per-input network totals and the returned aggregate sums them in
-     * input order.
-     */
-    RunResult runNetworkBatch(
-        const std::vector<std::shared_ptr<const CompiledLayer>>& layers,
-        const std::string& workload_name, int threads,
-        std::vector<RunResult>* per_input = nullptr);
 
   private:
     /** Reused per-input result slots of executeBatch (steady-state

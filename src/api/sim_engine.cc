@@ -1,11 +1,14 @@
 #include "api/sim_engine.hh"
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <stdexcept>
+#include <utility>
 
 #include "api/registry.hh"
 #include "common/fault.hh"
@@ -54,6 +57,9 @@ SimEngine::run(const SimRequest& request) const
         std::string spec_string;
         AccelSpec spec;
         bool ft_workload = false;
+        std::string name;    // Accelerator::name(), labels cell totals
+        std::string family;  // Accelerator::formatFamily()
+        bool releases = false;  // first design of its family + variant
     };
     std::vector<AccelJob> accels;
     accels.reserve(request.accels.size());
@@ -62,7 +68,9 @@ SimEngine::run(const SimRequest& request) const
         job.spec_string = spec_string;
         job.spec = parseAccelSpec(spec_string);
         job.ft_workload = registry.entry(job.spec.key).ft_workload;
-        registry.make(job.spec);
+        const auto probe = registry.make(job.spec);
+        job.name = probe->name();
+        job.family = probe->formatFamily();
         accels.push_back(std::move(job));
     }
 
@@ -82,8 +90,8 @@ SimEngine::run(const SimRequest& request) const
     const int threads = resolveThreads(request.threads);
 
     // Cancellation is cooperative: the token is polled before each
-    // cell and before each lazy layer synthesis, so a cancelled run
-    // stops within one synthesis or one cell simulation.
+    // task and before each lazy layer synthesis, so a cancelled run
+    // stops within one synthesis or one layer of one input.
     const auto check_cancelled = [&] {
         if (request.cancel &&
             request.cancel->load(std::memory_order_relaxed))
@@ -95,21 +103,29 @@ SimEngine::run(const SimRequest& request) const
     // layer is synthesized only when some format family misses it in
     // every cache level — inside the compile callback, once per
     // (network, ft-variant, layer) however many families miss it. A
-    // run whose every key hits synthesizes nothing. Every cell of a
-    // variant passes every layer once, so a layer's tensors are freed
-    // when the last of those cells has its compiled artifact.
+    // run whose every key hits synthesizes nothing. A layer's tensors
+    // are needed only until every format family of its variant has
+    // the compiled artifact: the first design of each (family,
+    // variant) releases them, and the family's later designs hit.
     const std::size_t n_nets = request.networks.size();
     std::array<std::size_t, 2> users = {0, 0};
-    for (const auto& accel : accels)
-        ++users[accel.ft_workload ? 1 : 0];
+    std::set<std::pair<std::string, bool>> families;
+    for (auto& accel : accels) {
+        accel.releases =
+            families.emplace(accel.family, accel.ft_workload).second;
+        if (accel.releases)
+            ++users[accel.ft_workload ? 1 : 0];
+    }
     LazyWorkload workload(request.networks, request.seed, request.batch,
                           users);
 
     // Lower each layer through the shared compiled-workload cache and
-    // execute the (accelerator x network) job matrix. Each job owns a
-    // private accelerator instance and writes its fixed report slot,
-    // which keeps multi-threaded runs bit-identical to serial ones;
-    // compiled artifacts are shared read-only across all design
+    // execute the (accelerator x network) job matrix as one flat list
+    // of independent tasks, one per (cell, layer, input) in index
+    // order. Every task writes its fixed result slot, and each cell's
+    // slots are reduced in layer and input order afterwards, so a run
+    // with N worker threads is bit-identical to the serial run.
+    // Compiled artifacts are shared read-only across all design
     // variants of a format family (one compilation per key, whatever
     // the thread count).
     SimReport report;
@@ -133,53 +149,117 @@ SimEngine::run(const SimRequest& request) const
     std::atomic<std::uint64_t> sim_ns{0};
     using Clock = std::chrono::steady_clock;
 
-    // Batched cells parallelize along the input axis *inside* a cell;
-    // splitting the thread budget across the cell jobs keeps total
-    // concurrency at the requested level. One input's execute is
-    // always serial.
-    const int cells = static_cast<int>(report.runs.size());
-    const int batch_threads =
-        request.batch > 1 ? std::max(1, threads / std::max(1, cells)) : 1;
+    // Cell c owns layer slots [first_layer[c], first_layer[c + 1]);
+    // layer slot s owns tasks [s * batch, (s + 1) * batch), one per
+    // input.
+    const std::size_t batch = request.batch;
+    const std::size_t cells = report.runs.size();
+    std::vector<std::size_t> first_layer(cells + 1, 0);
+    for (std::size_t c = 0; c < cells; ++c)
+        first_layer[c + 1] =
+            first_layer[c] + request.networks[c % n_nets].layers.size();
 
-    parallelFor(report.runs.size(), threads, [&](std::size_t i) {
+    // One (cell, layer)'s compiled artifact: the first of its input
+    // tasks fetches it, and the last one to finish drops it, so the
+    // run pins no artifact longer than its tasks need it and each cell
+    // looks every key up once.
+    struct LayerSlot
+    {
+        std::mutex mutex;
+        std::shared_ptr<const CompiledLayer> compiled;
+        std::size_t pending = 0;
+    };
+    std::vector<LayerSlot> layer_slots(first_layer.back());
+    for (auto& slot : layer_slots)
+        slot.pending = batch;
+    std::vector<RunResult> results(layer_slots.size() * batch);
+
+    // Each worker thread drives one accelerator instance at a time and
+    // keeps it while its tasks stay on the same design; in index order
+    // a design's tasks are contiguous, so the serial run builds one
+    // instance per design.
+    struct WorkerInstance
+    {
+        std::size_t accel = 0;
+        std::unique_ptr<Accelerator> instance;
+    };
+    std::vector<WorkerInstance> workers(std::max<std::size_t>(
+        1, std::min<std::size_t>(static_cast<std::size_t>(threads),
+                                 results.size())));
+
+    parallelForWorkers(results.size(), threads, [&](std::size_t worker,
+                                                    std::size_t task) {
         check_cancelled();
-        const std::size_t a = i / n_nets;
-        const std::size_t n = i % n_nets;
+        LayerSlot& slot = layer_slots[task / batch];
+        const std::size_t input = task % batch;
+        const std::size_t c = static_cast<std::size_t>(
+            std::upper_bound(first_layer.begin(), first_layer.end(),
+                             task / batch) -
+            first_layer.begin() - 1);
+        const std::size_t l = task / batch - first_layer[c];
+        const std::size_t a = c / n_nets;
+        const std::size_t n = c % n_nets;
         const AccelJob& accel = accels[a];
         const NetworkSpec& net = request.networks[n];
 
-        SimRun& run = report.runs[i];
-        run.accel_spec = accel.spec_string;
-        run.network = net.name;
+        WorkerInstance& mine = workers[worker];
+        if (!mine.instance || mine.accel != a) {
+            mine.instance = registry.make(accel.spec);
+            mine.accel = a;
+        }
+        Accelerator& instance = *mine.instance;
 
-        const auto instance = registry.make(accel.spec);
-        const std::string family = instance->formatFamily();
-        std::vector<std::shared_ptr<const CompiledLayer>> compiled;
-        compiled.reserve(net.layers.size());
-        for (std::size_t l = 0; l < net.layers.size(); ++l) {
-            compiled.push_back(cache->getOrCompile(
-                compiledLayerKey(net.name, l, accel.ft_workload,
-                                 family, net.layers[l].t,
-                                 request.seed, request.batch),
-                [&] {
-                    return instance->prepare(workload.layer(
-                        n, accel.ft_workload, l, check_cancelled));
-                },
-                &attributed));
-            workload.release(n, accel.ft_workload, l);
+        std::shared_ptr<const CompiledLayer> compiled;
+        {
+            const std::lock_guard<std::mutex> lock(slot.mutex);
+            if (!slot.compiled) {
+                slot.compiled = cache->getOrCompile(
+                    compiledLayerKey(net.name, l, accel.ft_workload,
+                                     accel.family, net.layers[l].t,
+                                     request.seed, batch),
+                    [&] {
+                        return instance.prepare(workload.layer(
+                            n, accel.ft_workload, l, check_cancelled));
+                    },
+                    &attributed);
+                if (accel.releases)
+                    workload.release(n, accel.ft_workload, l);
+            }
+            compiled = slot.compiled;
         }
 
         const auto t_exec = Clock::now();
-        if (request.batch > 1)
-            run.result = instance->runNetworkBatch(
-                compiled, net.name, batch_threads, &run.per_input);
-        else
-            run.result = instance->runNetwork(compiled, net.name);
+        results[task] = instance.executeInput(*compiled, input, 0);
         sim_ns += static_cast<std::uint64_t>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(
                 Clock::now() - t_exec)
                 .count());
+
+        const std::lock_guard<std::mutex> lock(slot.mutex);
+        if (--slot.pending == 0)
+            slot.compiled.reset();
     });
+
+    // Reduce each cell in layer and input order. RunResult sums are
+    // integer and static_scale follows the first work-bearing summand,
+    // so this equals summing per layer, then per network.
+    for (std::size_t c = 0; c < cells; ++c) {
+        const AccelJob& accel = accels[c / n_nets];
+        const NetworkSpec& net = request.networks[c % n_nets];
+        SimRun& run = report.runs[c];
+        run.accel_spec = accel.spec_string;
+        run.network = net.name;
+        run.result.accel = accel.name;
+        run.result.workload = net.name;
+        if (batch > 1 && !net.layers.empty())
+            run.per_input.assign(batch, run.result);
+        for (std::size_t t = first_layer[c] * batch;
+             t < first_layer[c + 1] * batch; ++t) {
+            run.result += results[t];
+            if (batch > 1)
+                run.per_input[t % batch] += results[t];
+        }
+    }
 
     // Energy is a pure function of each cell's RunResult, so it is
     // derived post-hoc while assembling the report instead of inside

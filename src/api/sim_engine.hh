@@ -2,8 +2,9 @@
  * @file
  * Batched, multi-threaded simulation engine. A SimRequest names a job
  * matrix — accelerator spec strings x network specs — and the engine
- * executes every (accelerator, network) cell on a thread pool,
- * returning a SimReport of RunResult + EnergyBreakdown rows.
+ * splits it into one flat list of independent tasks, one per
+ * (cell, layer, input), run across its threads, returning a SimReport
+ * of RunResult + EnergyBreakdown rows per (accelerator, network) cell.
  *
  * Workload generation (the expensive synthesis of calibrated spike and
  * weight tensors) is lazy and per layer: a (network, ft-variant, layer)
@@ -20,9 +21,10 @@
  * executes the same read-only artifact — a `loas?pes=16,32,64` sweep
  * compresses its tensors once, not once per cell.
  *
- * Results are deterministic: each cell is simulated on a private
- * accelerator instance from seeded inputs and written to its fixed
- * slot, so a run with N worker threads is bit-identical to the serial
+ * Results are deterministic: each task simulates one layer of one
+ * input from seeded inputs on an instance no other thread touches and
+ * writes its fixed slot; a cell's slots are reduced in layer and input
+ * order. A run with N worker threads is bit-identical to the serial
  * run of the same request.
  */
 
@@ -56,9 +58,9 @@ struct SimRequest
     /**
      * Inputs simulated per (accelerator, network) cell: each gets an
      * independently-seeded spike tensor per layer (weights are shared),
-     * compiled into ONE artifact per cache key and executed over a
-     * batch-level parallel loop. 1 (the default) is byte-identical to
-     * the unbatched engine. Must be >= 1.
+     * compiled into ONE artifact per cache key; each input of each
+     * layer is its own engine task. 1 (the default) is byte-identical
+     * to the unbatched engine. Must be >= 1.
      */
     std::size_t batch = 1;
 
@@ -70,7 +72,7 @@ struct SimRequest
 
     /**
      * Worker threads: 1 = serial in the calling thread, 0 = one per
-     * hardware thread (capped by the job count).
+     * hardware thread (capped by the task count).
      */
     int threads = 0;
 
@@ -92,10 +94,10 @@ struct SimRequest
     /**
      * Cooperative cancellation token, owned by the caller and shared
      * with whoever may cancel the run (the serve job queue sets it on
-     * cancel/timeout). The engine checks it before each job-matrix
-     * cell and before each lazy layer synthesis — never mid-synthesis
-     * or mid-simulation — and aborts by throwing SimCancelled. Null =
-     * not cancellable.
+     * cancel/timeout). The engine checks it before each task (one layer
+     * of one input of a cell) and before each lazy layer synthesis —
+     * never mid-synthesis or mid-layer — and aborts by throwing
+     * SimCancelled. Null = not cancellable.
      */
     const std::atomic<bool>* cancel = nullptr;
 };

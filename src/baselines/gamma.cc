@@ -119,13 +119,6 @@ GammaSim::prepare(const LayerData& layer) const
                              bytes);
 }
 
-void
-GammaSim::reserveWorkers(std::size_t workers)
-{
-    if (scratch_.size() < workers)
-        scratch_.resize(workers);
-}
-
 RunResult
 GammaSim::executeInput(const CompiledLayer& compiled, std::size_t input,
                        std::size_t worker)
@@ -150,8 +143,7 @@ GammaSim::executeInput(const CompiledLayer& compiled, std::size_t input,
     const double weight_density = art.weight_density;
     const auto& fibers_b = art.b.fibers;
 
-    // Serial-context growth only; batch-parallel callers pre-size the
-    // pool through reserveWorkers() before fanning out.
+    // One thread drives an instance at a time: the pool grows here.
     if (worker >= scratch_.size())
         scratch_.resize(worker + 1);
     ExecuteScratch& scratch = scratch_[worker];
@@ -327,8 +319,7 @@ GammaSim::executeAnn(const CompiledLayer& compiled, std::size_t worker)
     const double weight_density = art.weight_density;
     const auto& fibers_b = art.b.fibers;
 
-    // Serial-context growth only; batch-parallel callers pre-size the
-    // pool through reserveWorkers() before fanning out.
+    // One thread drives an instance at a time: the pool grows here.
     if (worker >= scratch_.size())
         scratch_.resize(worker + 1);
     ExecuteScratch& scratch = scratch_[worker];

@@ -105,7 +105,6 @@ class GammaSim : public Accelerator
                            std::size_t input,
                            std::size_t worker) override;
 
-    void reserveWorkers(std::size_t workers) override;
 
     /** Format family of prepareAnn() artifacts. */
     static constexpr const char* kAnnFamily = "gamma-ann";

@@ -73,13 +73,6 @@ GospaSim::prepare(const LayerData& layer) const
                              bytes);
 }
 
-void
-GospaSim::reserveWorkers(std::size_t workers)
-{
-    if (mem_scratch_.size() < workers)
-        mem_scratch_.resize(workers);
-}
-
 RunResult
 GospaSim::executeInput(const CompiledLayer& compiled, std::size_t input,
                        std::size_t worker)
@@ -98,8 +91,7 @@ GospaSim::executeInput(const CompiledLayer& compiled, std::size_t input,
     const auto& b_meta_off = art.b.meta_off;
     const auto& b_val_off = art.b.val_off;
 
-    // Serial-context growth only; batch-parallel callers pre-size the
-    // pool through reserveWorkers() before fanning out.
+    // One thread drives an instance at a time: the pool grows here.
     if (worker >= mem_scratch_.size())
         mem_scratch_.resize(worker + 1);
     std::optional<MemorySystem>& mem_scratch = mem_scratch_[worker];

@@ -91,7 +91,6 @@ class GospaSim : public Accelerator
                            std::size_t input,
                            std::size_t worker) override;
 
-    void reserveWorkers(std::size_t workers) override;
 
     /** Partial-sum DRAM traffic of input 0 of the last layer (Fig. 5). */
     std::uint64_t lastPsumDramBytes() const { return last_psum_dram_; }

@@ -98,13 +98,6 @@ SpartenSim::prepare(const LayerData& layer) const
                              bytes);
 }
 
-void
-SpartenSim::reserveWorkers(std::size_t workers)
-{
-    if (scratch_.size() < workers)
-        scratch_.resize(workers);
-}
-
 RunResult
 SpartenSim::executeInput(const CompiledLayer& compiled,
                          std::size_t input, std::size_t worker)
@@ -134,8 +127,7 @@ SpartenSim::executeInput(const CompiledLayer& compiled,
     const auto& b_meta_off = art.b.meta_off;
     const auto& b_val_off = art.b.val_off;
 
-    // Serial-context growth only; batch-parallel callers pre-size the
-    // pool through reserveWorkers() before fanning out.
+    // One thread drives an instance at a time: the pool grows here.
     if (worker >= scratch_.size())
         scratch_.resize(worker + 1);
     ExecuteScratch& scratch = scratch_[worker];
@@ -337,8 +329,7 @@ SpartenSim::executeAnn(const CompiledLayer& compiled, std::size_t worker)
     const auto& b_meta_off = art.b.meta_off;
     const auto& b_val_off = art.b.val_off;
 
-    // Serial-context growth only; batch-parallel callers pre-size the
-    // pool through reserveWorkers() before fanning out.
+    // One thread drives an instance at a time: the pool grows here.
     if (worker >= scratch_.size())
         scratch_.resize(worker + 1);
     ExecuteScratch& scratch = scratch_[worker];

@@ -94,18 +94,10 @@ SystolicBase::formatFamily() const
     return "systolic";
 }
 
-void
-SystolicBase::reserveWorkers(std::size_t workers)
-{
-    if (mem_scratch_.size() < workers)
-        mem_scratch_.resize(workers);
-}
-
 MemorySystem&
 SystolicBase::scratchMem(std::size_t worker)
 {
-    // Serial-context growth only; batch-parallel callers pre-size the
-    // pool through reserveWorkers() before fanning out.
+    // One thread drives an instance at a time: the pool grows here.
     if (worker >= mem_scratch_.size())
         mem_scratch_.resize(worker + 1);
     std::optional<MemorySystem>& mem = mem_scratch_[worker];

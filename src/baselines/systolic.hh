@@ -55,7 +55,6 @@ class SystolicBase : public Accelerator
     explicit SystolicBase(const SystolicConfig& config);
     std::string formatFamily() const override;
     CompiledLayer prepare(const LayerData& layer) const override;
-    void reserveWorkers(std::size_t workers) override;
 
   protected:
     /** Reusable per-worker execute() memory model (see

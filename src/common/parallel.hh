@@ -1,12 +1,12 @@
 /**
  * @file
- * Shared fork-join helpers. Host threads are spent at two levels only:
- * the SimEngine fans out across networks (synthesis) and sweep cells,
- * and a batched cell fans out across its inputs (executeBatch). One
- * input's execute() is always serial. The prepare()-phase compilers
- * also split per-fiber compression, which is embarrassingly parallel.
- * Every job writes a disjoint, preallocated slot, so results are
- * bit-identical whatever the thread count.
+ * Shared fork-join helpers. The SimEngine spends host threads at one
+ * task level: a flat list of (cell, layer, input) tasks, each of which
+ * compiles or fetches its layer and executes one input of it serially.
+ * The prepare()-phase compilers also split per-fiber compression,
+ * which is embarrassingly parallel. Every job writes a disjoint,
+ * preallocated slot, so results are bit-identical whatever the thread
+ * count.
  */
 
 #pragma once

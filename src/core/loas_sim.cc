@@ -67,13 +67,6 @@ LoasSim::prepare(const LayerData& layer) const
                              bytes);
 }
 
-void
-LoasSim::reserveWorkers(std::size_t workers)
-{
-    if (scratch_.size() < workers)
-        scratch_.resize(workers);
-}
-
 RunResult
 LoasSim::executeInput(const CompiledLayer& compiled, std::size_t input,
                       std::size_t worker)
@@ -100,8 +93,7 @@ LoasSim::executeInput(const CompiledLayer& compiled, std::size_t input,
     const auto& b_meta_off = art.b.meta_off;
     const auto& b_val_off = art.b.val_off;
 
-    // Serial-context growth only; batch-parallel callers pre-size the
-    // pool through reserveWorkers() before fanning out.
+    // One thread drives an instance at a time: the pool grows here.
     if (worker >= scratch_.size())
         scratch_.resize(worker + 1);
     ExecuteScratch& scratch = scratch_[worker];

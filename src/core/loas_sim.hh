@@ -59,7 +59,6 @@ class LoasSim : public Accelerator
                            std::size_t input,
                            std::size_t worker) override;
 
-    void reserveWorkers(std::size_t workers) override;
 
     /**
      * Output spike tensor of input 0 of the last simulated layer,
@@ -76,12 +75,11 @@ class LoasSim : public Accelerator
     SpikeTensor last_output_;
 
     /**
-     * Reusable working state of one execute worker. An accelerator
-     * instance is driven by one thread at a time per worker slot (the
-     * SimEngine gives each job a private instance; executeBatch hands
-     * each batch worker its own slot), so the buffers warm up on the
-     * first layer and steady-state execution performs no heap
-     * allocations.
+     * Reusable working state of one execute worker slot. An
+     * accelerator instance is driven by one thread at a time (the
+     * SimEngine gives each engine thread its own instances), so the
+     * buffers warm up on the first layer and steady-state execution
+     * performs no heap allocations.
      */
     struct ExecuteScratch
     {

@@ -26,7 +26,7 @@
  *    merged matrix, byte-identical to what its solo run would return;
  *  - cancellation and deadlines: a queued job cancels instantly; a
  *    running job's cancel sets the engine's cooperative token (the
- *    run aborts at the next cell boundary). Deadlines are enforced
+ *    run aborts before its next layer task). Deadlines are enforced
  *    lazily — at dequeue, poll() and wait() — which covers every
  *    observable path without a timer thread;
  *  - shutdown: draining (finish the queue, reject new submits) or

@@ -318,20 +318,20 @@ CompiledCache::finishNetwork(const std::string& network)
 {
     const std::string prefix = network + "#";
     const std::lock_guard<std::mutex> lock(mutex_);
-    // Walk MRU to LRU, moving matches so the finished list keeps the
-    // same relative recency order (its back is the oldest, evicted
-    // first).
+    // Walk MRU to LRU, gathering matches in their recency order, then
+    // splice them in front of every earlier-finished network: the
+    // finished list's back is the oldest and is evicted first. Splice
+    // keeps each slot's lru_it valid.
+    std::list<std::string> done;
     for (auto it = live_lru_.begin(); it != live_lru_.end();) {
-        if (it->compare(0, prefix.size(), prefix) != 0) {
-            ++it;
-            continue;
+        const auto next = std::next(it);
+        if (it->compare(0, prefix.size(), prefix) == 0) {
+            slots_.at(*it)->finished = true;
+            done.splice(done.end(), live_lru_, it);
         }
-        Slot& slot = *slots_.at(*it);
-        finished_lru_.push_back(*it);
-        slot.lru_it = std::prev(finished_lru_.end());
-        slot.finished = true;
-        it = live_lru_.erase(it);
+        it = next;
     }
+    finished_lru_.splice(finished_lru_.begin(), done);
 }
 
 CompiledCache::Stats

@@ -176,7 +176,8 @@ class CompiledCache
     /**
      * Demote every resident entry of `network` to evict-first status.
      * Engines call this when a run retires a network; the entries stay
-     * served until the byte budget actually needs their space. A later
+     * served until the byte budget actually needs their space, and
+     * networks that finished earlier are evicted before them. A later
      * hit promotes an entry back to the live pool.
      */
     void finishNetwork(const std::string& network);

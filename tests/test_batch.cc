@@ -8,8 +8,8 @@
  *  2. Batch-prefix property: input b is the same tensor (and the same
  *     RunResult) whatever the total batch size, so input 0 of any
  *     batch equals the batch=1 run.
- *  3. executeBatch is thread-count invariant: aggregate and per-input
- *     results are bit-identical at any thread count.
+ *  3. The engine's batched cells are thread-count invariant and equal
+ *     a serial executeBatch() per layer, aggregate and per input.
  *  4. The serve protocol round-trips "batch" (serve/2) and old
  *     clients that omit it get batch 1 (serve/1 behavior).
  */
@@ -114,7 +114,7 @@ TEST(Batch, InputZeroMatchesBatchOneExecution)
             batched->prepare(generateLayer(spec, 101, ft, 4));
         EXPECT_EQ(c4.batch, 4u);
         std::vector<RunResult> per_input;
-        batched->executeBatch(c4, 1, &per_input);
+        batched->executeBatch(c4, &per_input);
         ASSERT_EQ(per_input.size(), 4u);
         expectSameResult(per_input[0], solo);
     }
@@ -122,31 +122,70 @@ TEST(Batch, InputZeroMatchesBatchOneExecution)
 
 // --- 3. Thread-count invariance --------------------------------------
 
-TEST(Batch, ExecuteBatchIsThreadCountInvariant)
+TEST(Batch, EngineBatchIsThreadCountInvariant)
 {
+    // Every input of every layer is its own engine task, so threads
+    // spread one cell's inputs; the aggregate and per-input results
+    // must not move.
+    SimRequest request;
+    request.accels = AcceleratorRegistry::instance().keys();
+    request.networks = {{"alexnet-l4", {tables::alexnetL4()}}};
+    request.batch = 3;
+    request.energy = false;
+    request.threads = 1;
+    const SimReport serial = SimEngine().run(request);
+    ASSERT_EQ(serial.runs.size(), request.accels.size());
+    for (const SimRun& run : serial.runs)
+        EXPECT_EQ(run.per_input.size(), 3u);
+
+    request.threads = 4;
+    const SimReport threaded = SimEngine().run(request);
+    ASSERT_EQ(serial.runs.size(), threaded.runs.size());
+    for (std::size_t i = 0; i < serial.runs.size(); ++i) {
+        SCOPED_TRACE(serial.runs[i].accel_spec);
+        EXPECT_EQ(json::toJson(serial.runs[i]),
+                  json::toJson(threaded.runs[i]));
+    }
+}
+
+TEST(Batch, EngineCellEqualsExecuteBatchPerLayer)
+{
+    // The engine's (layer, input) tasks reduce to exactly what a
+    // serial executeBatch() per layer sums to, input by input.
     const auto& registry = AcceleratorRegistry::instance();
-    const LayerSpec spec = tables::alexnetL4();
+    const NetworkSpec net{"two-layer",
+                          {tables::alexnetL4(), tables::vgg16L8()}};
+    SimRequest request;
+    request.accels = registry.keys();
+    request.networks = {net};
+    request.seed = 7;
+    request.batch = 3;
+    request.energy = false;
+    request.threads = 3;
+    const SimReport report = SimEngine().run(request);
     for (const auto& key : registry.keys()) {
         SCOPED_TRACE(key);
         const bool ft = registry.entry(key).ft_workload;
-        const LayerData layer = generateLayer(spec, 101, ft, 3);
-
-        const auto serial = registry.make(key);
-        const CompiledLayer compiled = serial->prepare(layer);
-        std::vector<RunResult> serial_inputs;
-        const RunResult serial_agg =
-            serial->executeBatch(compiled, 1, &serial_inputs);
-
-        const auto threaded = registry.make(key);
-        const CompiledLayer compiled2 = threaded->prepare(layer);
-        std::vector<RunResult> threaded_inputs;
-        const RunResult threaded_agg =
-            threaded->executeBatch(compiled2, 4, &threaded_inputs);
-
-        expectSameResult(serial_agg, threaded_agg);
-        ASSERT_EQ(serial_inputs.size(), threaded_inputs.size());
-        for (std::size_t b = 0; b < serial_inputs.size(); ++b)
-            expectSameResult(serial_inputs[b], threaded_inputs[b]);
+        const auto instance = registry.make(key);
+        RunResult total;
+        total.accel = instance->name();
+        total.workload = net.name;
+        std::vector<RunResult> per_input(3, total);
+        for (std::size_t l = 0; l < net.layers.size(); ++l) {
+            const CompiledLayer compiled = instance->prepare(
+                generateNetworkLayer(net, l, request.seed, ft, 3));
+            std::vector<RunResult> inputs;
+            total += instance->executeBatch(compiled, &inputs);
+            ASSERT_EQ(inputs.size(), 3u);
+            for (std::size_t b = 0; b < inputs.size(); ++b)
+                per_input[b] += inputs[b];
+        }
+        const SimRun& run = report.at(key, net.name);
+        EXPECT_EQ(json::toJson(run.result), json::toJson(total));
+        ASSERT_EQ(run.per_input.size(), 3u);
+        for (std::size_t b = 0; b < 3; ++b)
+            EXPECT_EQ(json::toJson(run.per_input[b]),
+                      json::toJson(per_input[b]));
     }
 }
 

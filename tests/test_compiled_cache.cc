@@ -174,6 +174,32 @@ TEST(CompiledCacheEviction, FinishedNetworkEntriesGoFirst)
     EXPECT_EQ(compiles, 1); // the finished network was the victim
 }
 
+TEST(CompiledCacheEviction, OlderFinishedNetworkIsEvictedFirst)
+{
+    CompiledCache cache;
+    cache.setByteBudget(200);
+    for (const char* key : {"netA#l0", "netA#l1", "netB#l0", "netB#l1"})
+        cache.getOrCompile(key, [] { return stubLayer(50); });
+    // A finishes before B, so A is the older finished network; within
+    // A, l0 is the less recently used entry.
+    cache.finishNetwork("netA");
+    cache.finishNetwork("netB");
+    cache.getOrCompile("netC#l0", [] { return stubLayer(50); });
+    EXPECT_EQ(cache.stats().evictions, 1u);
+
+    int compiles = 0;
+    const auto count = [&] {
+        ++compiles;
+        return stubLayer(50);
+    };
+    cache.setByteBudget(0);
+    for (const char* key : {"netA#l1", "netB#l0", "netB#l1", "netC#l0"})
+        cache.getOrCompile(key, count);
+    EXPECT_EQ(compiles, 0); // B, the network that finished last, stays
+    cache.getOrCompile("netA#l0", count);
+    EXPECT_EQ(compiles, 1); // A's least recently used entry went
+}
+
 TEST(CompiledCacheEviction, HitPromotesFinishedEntryBackToLive)
 {
     CompiledCache cache;

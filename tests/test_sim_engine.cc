@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
+#include <memory>
 #include <stdexcept>
 
 #include "api/json.hh"
+#include "api/registry.hh"
 #include "api/sim_engine.hh"
 #include "core/loas_sim.hh"
 #include "workload/generator.hh"
@@ -72,6 +75,32 @@ TEST(SimEngine, MultiThreadedRunIsBitIdenticalToSerial)
     }
 }
 
+TEST(SimEngine, ReportsAreThreadCountInvariantOnFullNetworks)
+{
+    // The run --json report of every design on both full networks,
+    // aggregate and per input, is byte-identical at 1, 3 and 8
+    // threads. One cache per batch size keeps the compiles shared.
+    for (const std::size_t batch : {std::size_t{1}, std::size_t{3}}) {
+        SCOPED_TRACE("batch " + std::to_string(batch));
+        CompiledCache cache;
+        SimRequest request;
+        request.accels = {"sparten", "gospa", "gamma", "loas",
+                          "loas-ft", "systolic", "stellar"};
+        request.networks = {tables::vgg16(), tables::alexnet()};
+        request.batch = batch;
+        request.compiled_cache = &cache;
+        request.threads = 1;
+        const std::string serial = json::toJson(SimEngine().run(request));
+        EXPECT_EQ(serial.find("\"inputs\"") != std::string::npos,
+                  batch > 1);
+        for (const int threads : {3, 8}) {
+            SCOPED_TRACE("threads " + std::to_string(threads));
+            request.threads = threads;
+            EXPECT_EQ(json::toJson(SimEngine().run(request)), serial);
+        }
+    }
+}
+
 TEST(SimEngine, MatchesDirectSimulatorInvocation)
 {
     SimRequest request;
@@ -118,6 +147,64 @@ TEST(SimEngine, RejectsBadRequestsBeforeSimulating)
     request.networks.push_back(
         NetworkSpec{"net-a", {tables::vgg16L8()}});
     EXPECT_THROW(SimEngine().run(request), std::invalid_argument);
+}
+
+/** The token the cancel probe trips, and its execute-call count. */
+std::atomic<bool> g_probe_cancel{false};
+std::atomic<int> g_probe_executes{0};
+int g_probe_trip_at = 0;
+
+/** LoAS that raises g_probe_cancel on its g_probe_trip_at-th layer. */
+class CancelProbe : public LoasSim
+{
+  public:
+    RunResult
+    executeInput(const CompiledLayer& compiled, std::size_t input,
+                 std::size_t worker) override
+    {
+        if (++g_probe_executes == g_probe_trip_at)
+            g_probe_cancel.store(true);
+        return LoasSim::executeInput(compiled, input, worker);
+    }
+};
+
+const RegisterAccelerator kRegisterCancelProbe(
+    "cancel-probe",
+    {"LoAS that cancels its own run mid-network (test only)",
+     {},
+     false,
+     [](const AccelSpec&) { return std::make_unique<CancelProbe>(); }});
+
+/** Run one probe cell over `layers` layers; returns executes done. */
+int
+runProbeUntilCancelled(std::size_t layers, int threads, int trip_at)
+{
+    NetworkSpec net{"probe-net", {}};
+    for (std::size_t l = 0; l < layers; ++l)
+        net.layers.push_back(l % 2 == 0 ? tables::alexnetL4()
+                                        : tables::vgg16L8());
+    SimRequest request;
+    request.accels = {"cancel-probe"};
+    request.networks = {net};
+    request.threads = threads;
+    request.energy = false;
+    request.cancel = &g_probe_cancel;
+    g_probe_cancel.store(false);
+    g_probe_executes.store(0);
+    g_probe_trip_at = trip_at;
+    EXPECT_THROW(SimEngine().run(request), SimCancelled);
+    return g_probe_executes.load();
+}
+
+TEST(SimEngineCancel, CancelRaisedMidCellStopsWithinOneLayerTask)
+{
+    // Serial: the task after the one that raised the cancel never
+    // starts, although the cell has more layers.
+    EXPECT_EQ(runProbeUntilCancelled(4, 1, 2), 2);
+    // Threaded: only tasks already past their cancel check when the
+    // token was raised still finish, at most one per other thread.
+    const int threads = 4;
+    EXPECT_LE(runProbeUntilCancelled(12, threads, 2), 2 + threads - 1);
 }
 
 TEST(SimEngineSynthesis, ColdRunSynthesizesEachSharedLayerOnce)

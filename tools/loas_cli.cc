@@ -65,13 +65,13 @@
  *       One JSON object with the CLI version and every artifact
  *       schema/format version this binary reads or writes.
  *
- * run, sweep and bench accept the shared cache flags:
+ * run, sweep, bench and serve accept the shared cache flags:
  *   --cache-dir PATH  persist compiled artifacts on disk; a later
  *                     invocation with the same flag skips operand
  *                     recompression entirely
  *   --cache-mb N      in-memory compiled-cache byte budget in MiB
- *                     (0 = unlimited); LRU eviction, finished
- *                     networks first
+ *                     (0 = unlimited, the default; serve defaults
+ *                     to 32); LRU eviction, finished networks first
  *   --cache-stats PATH
  *                     write the run's cache counters as JSON ("-":
  *                     stdout) — hits, misses, disk hits/writes/
@@ -79,6 +79,9 @@
  */
 
 #include <unistd.h>
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
 
 #include <algorithm>
 #include <array>
@@ -154,11 +157,11 @@ usage(const char* argv0)
         "           [--no-drain] [--raw LINE]\n"
         "       loas_cli version\n"
         "\n"
-        "cache flags (run/sweep/bench):\n"
+        "cache flags (run/sweep/bench/serve):\n"
         "  --cache-dir PATH  persist compiled artifacts on disk and\n"
         "                    reuse them across invocations\n"
         "  --cache-mb N      in-memory compiled-cache budget in MiB\n"
-        "                    (default 0 = unlimited)\n"
+        "                    (default 0 = unlimited; serve: 32)\n"
         "  --cache-stats PATH\n"
         "                    write cache counters as JSON (\"-\": stdout)\n"
         "\n"
@@ -215,7 +218,9 @@ usage(const char* argv0)
         "  --socket PATH   unix-socket path to listen on (required)\n"
         "  --workers N     concurrent engine runs (default 1)\n"
         "  --engine-threads N\n"
-        "                  threads inside each run (default: all cores)\n"
+        "                  threads inside each run (default: all cores);\n"
+        "                  the daemon runs up to workers x engine-threads\n"
+        "                  engine threads at once\n"
         "  --max-depth N   queued jobs before submits get queue_full\n"
         "                  (default 64)\n"
         "  --timeout-ms MS default per-job deadline (default 0 = none)\n"
@@ -936,9 +941,7 @@ runKernelBench(bool quick, std::uint64_t seed,
 
     // --- Batched steady state: executeBatch() over a multi-input
     // layer must stay off the heap too once the per-input result slots
-    // and per-worker scratch pools are warm. threads=1 on purpose —
-    // spawning pool threads allocates, and this gates the execute
-    // path, not the thread fan-out.
+    // and the scratch are warm.
     constexpr std::size_t kBenchBatch = 4;
     for (const auto& key : registry.keys()) {
         const bool ft = registry.entry(key).ft_workload;
@@ -946,10 +949,10 @@ runKernelBench(bool quick, std::uint64_t seed,
             generateLayer(kspec, seed, ft, kBenchBatch);
         const auto instance = registry.make(key);
         const CompiledLayer compiled = instance->prepare(layer);
-        instance->executeBatch(compiled, 1);
-        instance->executeBatch(compiled, 1);
+        instance->executeBatch(compiled);
+        instance->executeBatch(compiled);
         const std::uint64_t before = allochook::allocationCount();
-        const RunResult r = instance->executeBatch(compiled, 1);
+        const RunResult r = instance->executeBatch(compiled);
         const auto allocs = static_cast<double>(
             allochook::allocationCount() - before);
         if (r.total_cycles == 0)
@@ -981,10 +984,10 @@ runKernelBench(bool quick, std::uint64_t seed,
             generateLayer(kspec, seed, false, kBenchBatch);
         const auto bfused = registry.make("sparten?fused=1");
         const CompiledLayer bcompiled = bfused->prepare(blayer);
-        bfused->executeBatch(bcompiled, 1);
-        bfused->executeBatch(bcompiled, 1);
+        bfused->executeBatch(bcompiled);
+        bfused->executeBatch(bcompiled);
         before = allochook::allocationCount();
-        const RunResult br = bfused->executeBatch(bcompiled, 1);
+        const RunResult br = bfused->executeBatch(bcompiled);
         metrics.emplace_back(
             "execute_batch_allocs_steady_sparten_fused",
             static_cast<double>(allochook::allocationCount() - before));
@@ -1101,7 +1104,7 @@ runBench(int argc, char** argv)
     // 3b. Batched-inference throughput along the request dimension:
     //     one engine run at batch 8 on the LoAS design over the same
     //     network as stage 1; each cell compiles its artifacts once
-    //     and fans its inputs out over the batch-level parallel loop,
+    //     and runs every input of every layer as its own engine task,
     //     so the rate amortizes synthesis + compile across the batch.
     {
         constexpr std::size_t kBatch = 8;
@@ -1395,6 +1398,9 @@ runVersion(int argc, char** argv)
     return 0;
 }
 
+/** serve's default --cache-mb; the other commands default to 0. */
+constexpr std::uint64_t kServeCacheMb = 32;
+
 serve::Server* g_server = nullptr;
 
 extern "C" void
@@ -1410,6 +1416,9 @@ runServe(int argc, char** argv)
 {
     serve::Server::Config config;
     CacheFlags cache_flags;
+    // Every fresh-seed request adds artifacts, so a long-lived daemon
+    // bounds its in-memory cache by default.
+    cache_flags.budget_mb = kServeCacheMb;
 
     ArgCursor args(argc, argv);
     while (args.more()) {
@@ -1446,6 +1455,12 @@ runServe(int argc, char** argv)
     if (config.queue.workers < 1)
         throw std::invalid_argument("--workers must be >= 1");
 
+#ifdef __GLIBC__
+    // Engine tasks allocate on every pool thread; without a cap glibc
+    // gives each thread its own arena and RSS grows with the thread
+    // count instead of with the live data.
+    mallopt(M_ARENA_MAX, 2);
+#endif
     serve::Server server(config, processCache(cache_flags));
     g_server = &server;
     std::signal(SIGTERM, handleStopSignal);
