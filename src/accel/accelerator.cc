@@ -1,6 +1,27 @@
 #include "accel/accelerator.hh"
 
+#include "common/logging.hh"
+
 namespace loas {
+
+ShareKeys
+Accelerator::shareKeys(const LayerSpec&) const
+{
+    return {};
+}
+
+std::shared_ptr<const JoinTable>
+Accelerator::joinInput(const CompiledLayer&, std::size_t)
+{
+    panic("%s has no join phase", name().c_str());
+}
+
+RunResult
+Accelerator::replayInput(const CompiledLayer&, std::size_t,
+                         const JoinTable&)
+{
+    panic("%s has no replay phase", name().c_str());
+}
 
 RunResult
 Accelerator::executeBatch(const CompiledLayer& compiled,

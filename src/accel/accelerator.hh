@@ -13,6 +13,14 @@
  * `loas?pes=64`) share compiled artifacts; the SimEngine memoizes them
  * in a CompiledCache across sweep cells.
  *
+ * A design may further split execute into a join phase and a replay
+ * phase (see shareKeys()): the join phase computes everything that
+ * depends only on the operands and the datapath's per-pair timing,
+ * the replay phase walks one design's wave schedule and memory system
+ * over it. Designs with equal join keys replay one JoinTable, and
+ * designs with equal execute keys return equal RunResults, so a sweep
+ * over PE counts or cache sizes joins each (layer, input) once.
+ *
  * runLayer() remains as the one-shot convenience (prepare + execute)
  * for harnesses and tests that simulate a layer once.
  */
@@ -28,6 +36,26 @@
 #include "workload/generator.hh"
 
 namespace loas {
+
+/**
+ * The product of one design's join phase over one input of one
+ * compiled layer. Immutable once built, so every design with the same
+ * join key replays one table, from any thread.
+ */
+struct JoinTable
+{
+    virtual ~JoinTable() = default;
+};
+
+/** Which designs can share work on one layer; "" shares nothing. */
+struct ShareKeys
+{
+    /** Designs with equal join keys replay one JoinTable. */
+    std::string join;
+
+    /** Designs with equal execute keys return equal RunResults. */
+    std::string execute;
+};
 
 /** An accelerator model that can run dual-sparse SNN layers. */
 class Accelerator
@@ -55,7 +83,7 @@ class Accelerator
 
     /**
      * Phase 2: simulate the datapath over a compiled layer — input 0
-     * of its batch on worker slot 0. Sugar for
+     * of its batch. Sugar for
      * executeInput(compiled, 0, 0); every backend implements the one
      * entry point.
      */
@@ -65,15 +93,36 @@ class Accelerator
     }
 
     /**
-     * Phase 2 over one input of a batched compiled layer. `worker`
-     * selects the scratch pool slot and nothing else; an instance is
-     * driven by one thread at a time (the SimEngine gives each engine
-     * thread its own instances). The layer must come from this
-     * design's format family (fatal otherwise).
+     * Phase 2 over one input of a batched compiled layer. `worker` is
+     * ignored: an instance keeps one scratch and is driven by one
+     * thread at a time (the SimEngine gives each engine thread its
+     * own instances). The layer must come from this design's format
+     * family (fatal otherwise).
      */
     virtual RunResult executeInput(const CompiledLayer& compiled,
                                    std::size_t input,
                                    std::size_t worker) = 0;
+
+    /**
+     * Sharing keys of this design on a layer with spec `layer`. Keys
+     * of different designs are compared only for the same layer and
+     * format family. The default shares nothing.
+     */
+    virtual ShareKeys shareKeys(const LayerSpec& layer) const;
+
+    /**
+     * Join phase over one input: a table that replayInput() of any
+     * design with the same join key turns into that design's
+     * executeInput() result. Only designs with a join key implement
+     * it (panics otherwise).
+     */
+    virtual std::shared_ptr<const JoinTable>
+    joinInput(const CompiledLayer& compiled, std::size_t input);
+
+    /** Replay phase over one input's join table (see joinInput()). */
+    virtual RunResult replayInput(const CompiledLayer& compiled,
+                                  std::size_t input,
+                                  const JoinTable& table);
 
     /**
      * Phase 2 over EVERY input of a batched compiled layer, serially,

@@ -4,6 +4,7 @@
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -60,6 +61,7 @@ SimEngine::run(const SimRequest& request) const
         std::string name;    // Accelerator::name(), labels cell totals
         std::string family;  // Accelerator::formatFamily()
         bool releases = false;  // first design of its family + variant
+        std::unique_ptr<Accelerator> probe;  // answers shareKeys()
     };
     std::vector<AccelJob> accels;
     accels.reserve(request.accels.size());
@@ -68,9 +70,9 @@ SimEngine::run(const SimRequest& request) const
         job.spec_string = spec_string;
         job.spec = parseAccelSpec(spec_string);
         job.ft_workload = registry.entry(job.spec.key).ft_workload;
-        const auto probe = registry.make(job.spec);
-        job.name = probe->name();
-        job.family = probe->formatFamily();
+        job.probe = registry.make(job.spec);
+        job.name = job.probe->name();
+        job.family = job.probe->formatFamily();
         accels.push_back(std::move(job));
     }
 
@@ -84,8 +86,10 @@ SimEngine::run(const SimRequest& request) const
                 "duplicate network name '" + net.name +
                 "' in SimRequest");
 
-    if (request.batch < 1)
-        throw std::invalid_argument("SimRequest batch must be >= 1");
+    if (request.batch < 1 || request.batch > kMaxBatch)
+        throw std::invalid_argument(
+            "SimRequest batch must be in [1, " +
+            std::to_string(kMaxBatch) + "]");
 
     const int threads = resolveThreads(request.threads);
 
@@ -121,8 +125,8 @@ SimEngine::run(const SimRequest& request) const
 
     // Lower each layer through the shared compiled-workload cache and
     // execute the (accelerator x network) job matrix as one flat list
-    // of independent tasks, one per (cell, layer, input) in index
-    // order. Every task writes its fixed result slot, and each cell's
+    // of independent tasks, one per (cell, layer, input) that runs.
+    // Every task writes its fixed result slot, and each cell's
     // slots are reduced in layer and input order afterwards, so a run
     // with N worker threads is bit-identical to the serial run.
     // Compiled artifacts are shared read-only across all design
@@ -150,7 +154,7 @@ SimEngine::run(const SimRequest& request) const
     using Clock = std::chrono::steady_clock;
 
     // Cell c owns layer slots [first_layer[c], first_layer[c + 1]);
-    // layer slot s owns tasks [s * batch, (s + 1) * batch), one per
+    // layer slot s owns results [s * batch, (s + 1) * batch), one per
     // input.
     const std::size_t batch = request.batch;
     const std::size_t cells = report.runs.size();
@@ -159,10 +163,109 @@ SimEngine::run(const SimRequest& request) const
         first_layer[c + 1] =
             first_layer[c] + request.networks[c % n_nets].layers.size();
 
+    // Plan each (network, layer) from the designs' sharing keys, which
+    // are compared within one format family and variant. A design
+    // whose execute key an earlier design already has runs nothing:
+    // its layer slot reads that design's results (source[s]). The
+    // designs that run form join groups (groups[group_of[s]], slots
+    // in request order).
+    std::vector<std::size_t> source(first_layer.back());
+    std::vector<std::size_t> group_of(first_layer.back());
+    std::vector<std::vector<std::size_t>> groups;
+    bool shares_joins = false;
+    for (std::size_t n = 0; n < n_nets; ++n) {
+        const NetworkSpec& net = request.networks[n];
+        for (std::size_t l = 0; l < net.layers.size(); ++l) {
+            std::map<std::string, std::size_t> executes;  // key -> slot
+            std::map<std::string, std::size_t> joins;  // key -> group
+            for (std::size_t a = 0; a < accels.size(); ++a) {
+                const AccelJob& accel = accels[a];
+                const std::size_t s = first_layer[a * n_nets + n] + l;
+                const ShareKeys keys =
+                    accel.probe->shareKeys(net.layers[l]);
+                const std::string scope =
+                    accel.family + (accel.ft_workload ? "|ft|" : "|");
+                source[s] = s;
+                if (!keys.execute.empty()) {
+                    const auto [it, fresh] =
+                        executes.emplace(scope + keys.execute, s);
+                    if (!fresh) {
+                        source[s] = it->second;
+                        continue;
+                    }
+                }
+                std::size_t g = groups.size();
+                if (!keys.join.empty())
+                    g = joins.emplace(scope + keys.join, g).first->second;
+                if (g == groups.size())
+                    groups.emplace_back();
+                groups[g].push_back(s);
+                group_of[s] = g;
+                shares_joins |= groups[g].size() > 1;
+            }
+        }
+    }
+
+    // A unit is one input of one join group; a unit of two or more
+    // designs shares one join table (a join slot). Units go in
+    // (network, layer, input) order when joins are shared, so a table
+    // lives only while its unit's few replays run, and families
+    // compile a layer together. Otherwise they keep the (cell, layer,
+    // input) order, where consecutive tasks stay on one design: with
+    // nothing to share, interleaving designs measured ~4% slower.
+    constexpr std::size_t kSolo = ~std::size_t{0};
+    struct Task
+    {
+        std::size_t slot;   // layer slot of the cell that runs
+        std::size_t input;
+        std::size_t share;  // join slot, or kSolo
+    };
+    std::vector<std::vector<Task>> units;
+    std::vector<std::size_t> group_members;  // per join slot
+    const auto add_units = [&](std::size_t s) {
+        const auto& group = groups[group_of[s]];
+        if (source[s] != s || group.front() != s)
+            return;
+        for (std::size_t input = 0; input < batch; ++input) {
+            std::size_t share = kSolo;
+            if (group.size() > 1) {
+                share = group_members.size();
+                group_members.push_back(group.size());
+            }
+            auto& unit = units.emplace_back();
+            for (const std::size_t member : group)
+                unit.push_back(Task{member, input, share});
+        }
+    };
+    if (shares_joins) {
+        for (std::size_t n = 0; n < n_nets; ++n)
+            for (std::size_t l = 0; l < request.networks[n].layers.size();
+                 ++l)
+                for (std::size_t a = 0; a < accels.size(); ++a)
+                    add_units(first_layer[a * n_nets + n] + l);
+    } else {
+        for (std::size_t s = 0; s < source.size(); ++s)
+            add_units(s);
+    }
+
+    // Task order: a unit's first task (the one that joins) runs
+    // `lead` units ahead of its other tasks, so the other threads
+    // replay finished tables instead of waiting for a join.
+    const std::size_t lead = static_cast<std::size_t>(threads) - 1;
+    std::vector<Task> tasks;
+    for (std::size_t u = 0; u < units.size() + lead; ++u) {
+        if (u < units.size())
+            tasks.push_back(units[u].front());
+        if (u >= lead)
+            tasks.insert(tasks.end(), units[u - lead].begin() + 1,
+                         units[u - lead].end());
+    }
+    units.clear();
+
     // One (cell, layer)'s compiled artifact: the first of its input
     // tasks fetches it, and the last one to finish drops it, so the
     // run pins no artifact longer than its tasks need it and each cell
-    // looks every key up once.
+    // that runs looks every key up once.
     struct LayerSlot
     {
         std::mutex mutex;
@@ -174,10 +277,21 @@ SimEngine::run(const SimRequest& request) const
         slot.pending = batch;
     std::vector<RunResult> results(layer_slots.size() * batch);
 
+    // One join group's table for one input: its first task to start
+    // joins, the others wait for it, and the last replay drops it.
+    struct JoinSlot
+    {
+        std::mutex mutex;
+        std::shared_ptr<const JoinTable> table;
+        std::size_t pending = 0;
+    };
+    std::vector<JoinSlot> join_slots(group_members.size());
+    for (std::size_t j = 0; j < join_slots.size(); ++j)
+        join_slots[j].pending = group_members[j];
+
     // Each worker thread drives one accelerator instance at a time and
-    // keeps it while its tasks stay on the same design; in index order
-    // a design's tasks are contiguous, so the serial run builds one
-    // instance per design.
+    // replaces it when its next task is another design (an instance
+    // per design and thread measured no faster, with more memory).
     struct WorkerInstance
     {
         std::size_t accel = 0;
@@ -185,18 +299,24 @@ SimEngine::run(const SimRequest& request) const
     };
     std::vector<WorkerInstance> workers(std::max<std::size_t>(
         1, std::min<std::size_t>(static_cast<std::size_t>(threads),
-                                 results.size())));
+                                 tasks.size())));
+    const auto elapsed_ns = [](Clock::time_point since) {
+        return static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                Clock::now() - since)
+                .count());
+    };
 
-    parallelForWorkers(results.size(), threads, [&](std::size_t worker,
-                                                    std::size_t task) {
+    parallelForWorkers(tasks.size(), threads, [&](std::size_t worker,
+                                                  std::size_t t) {
         check_cancelled();
-        LayerSlot& slot = layer_slots[task / batch];
-        const std::size_t input = task % batch;
+        const Task& task = tasks[t];
+        LayerSlot& slot = layer_slots[task.slot];
         const std::size_t c = static_cast<std::size_t>(
             std::upper_bound(first_layer.begin(), first_layer.end(),
-                             task / batch) -
+                             task.slot) -
             first_layer.begin() - 1);
-        const std::size_t l = task / batch - first_layer[c];
+        const std::size_t l = task.slot - first_layer[c];
         const std::size_t a = c / n_nets;
         const std::size_t n = c % n_nets;
         const AccelJob& accel = accels[a];
@@ -228,19 +348,41 @@ SimEngine::run(const SimRequest& request) const
             compiled = slot.compiled;
         }
 
-        const auto t_exec = Clock::now();
-        results[task] = instance.executeInput(*compiled, input, 0);
-        sim_ns += static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                Clock::now() - t_exec)
-                .count());
+        RunResult& result = results[task.slot * batch + task.input];
+        if (task.share == kSolo) {
+            const auto t_exec = Clock::now();
+            result = instance.executeInput(*compiled, task.input, 0);
+            sim_ns += elapsed_ns(t_exec);
+        } else {
+            JoinSlot& share = join_slots[task.share];
+            std::shared_ptr<const JoinTable> table;
+            {
+                const std::lock_guard<std::mutex> lock(share.mutex);
+                if (!share.table) {
+                    const auto t_join = Clock::now();
+                    share.table =
+                        instance.joinInput(*compiled, task.input);
+                    sim_ns += elapsed_ns(t_join);
+                }
+                table = share.table;
+            }
+            const auto t_replay = Clock::now();
+            result = instance.replayInput(*compiled, task.input, *table);
+            sim_ns += elapsed_ns(t_replay);
+            // The last replay drops the slot's reference; the table is
+            // freed with `table`, after the lock is released.
+            const std::lock_guard<std::mutex> lock(share.mutex);
+            if (--share.pending == 0)
+                share.table.reset();
+        }
 
         const std::lock_guard<std::mutex> lock(slot.mutex);
         if (--slot.pending == 0)
             slot.compiled.reset();
     });
 
-    // Reduce each cell in layer and input order. RunResult sums are
+    // Reduce each cell in layer and input order, reading a deduplicated
+    // layer's results from the cell that ran it. RunResult sums are
     // integer and static_scale follows the first work-bearing summand,
     // so this equals summing per layer, then per network.
     for (std::size_t c = 0; c < cells; ++c) {
@@ -253,12 +395,13 @@ SimEngine::run(const SimRequest& request) const
         run.result.workload = net.name;
         if (batch > 1 && !net.layers.empty())
             run.per_input.assign(batch, run.result);
-        for (std::size_t t = first_layer[c] * batch;
-             t < first_layer[c + 1] * batch; ++t) {
-            run.result += results[t];
-            if (batch > 1)
-                run.per_input[t % batch] += results[t];
-        }
+        for (std::size_t s = first_layer[c]; s < first_layer[c + 1]; ++s)
+            for (std::size_t input = 0; input < batch; ++input) {
+                const RunResult& r = results[source[s] * batch + input];
+                run.result += r;
+                if (batch > 1)
+                    run.per_input[input] += r;
+            }
     }
 
     // Energy is a pure function of each cell's RunResult, so it is

@@ -21,6 +21,11 @@
  * executes the same read-only artifact — a `loas?pes=16,32,64` sweep
  * compresses its tensors once, not once per cell.
  *
+ * Designs also share execute work through their sharing keys
+ * (Accelerator::shareKeys): per (network, layer, input), designs with
+ * equal join keys replay one transient join table, and a design whose
+ * execute key an earlier design has copies that design's results.
+ *
  * Results are deterministic: each task simulates one layer of one
  * input from seeded inputs on an instance no other thread touches and
  * writes its fixed slot; a cell's slots are reduced in layer and input
@@ -43,6 +48,14 @@
 
 namespace loas {
 
+/**
+ * Largest accepted batch. Every input of a batch gets its own
+ * synthesized spike tensors and compiled fibers per layer, so an
+ * unbounded batch would let one request claim any amount of memory.
+ * run, sweep and serve reject larger batches before synthesizing.
+ */
+constexpr std::size_t kMaxBatch = 1024;
+
 /** One batch of simulation jobs: every accelerator on every network. */
 struct SimRequest
 {
@@ -60,7 +73,7 @@ struct SimRequest
      * independently-seeded spike tensor per layer (weights are shared),
      * compiled into ONE artifact per cache key; each input of each
      * layer is its own engine task. 1 (the default) is byte-identical
-     * to the unbatched engine. Must be >= 1.
+     * to the unbatched engine. Must be in [1, kMaxBatch].
      */
     std::size_t batch = 1;
 

@@ -121,14 +121,14 @@ GammaSim::prepare(const LayerData& layer) const
 
 RunResult
 GammaSim::executeInput(const CompiledLayer& compiled, std::size_t input,
-                       std::size_t worker)
+                       std::size_t /*worker*/)
 {
     if (compiled.family == kAnnFamily) {
         if (input != 0)
             fatal("layer '%s': ANN compiled layers carry one input, "
                   "got %zu",
                   compiled.spec.name.c_str(), input);
-        return executeAnn(compiled, worker);
+        return executeAnn(compiled);
     }
     const auto& art = artifactAs<GammaCompiled>(compiled, formatFamily());
     if (input >= art.cols.size())
@@ -143,10 +143,7 @@ GammaSim::executeInput(const CompiledLayer& compiled, std::size_t input,
     const double weight_density = art.weight_density;
     const auto& fibers_b = art.b.fibers;
 
-    // One thread drives an instance at a time: the pool grows here.
-    if (worker >= scratch_.size())
-        scratch_.resize(worker + 1);
-    ExecuteScratch& scratch = scratch_[worker];
+    ExecuteScratch& scratch = scratch_;
 
     if (!scratch.mem)
         scratch.mem.emplace(config_.cache, config_.dram);
@@ -310,7 +307,7 @@ GammaSim::prepareAnn(const AnnLayerData& layer) const
 }
 
 RunResult
-GammaSim::executeAnn(const CompiledLayer& compiled, std::size_t worker)
+GammaSim::executeAnn(const CompiledLayer& compiled)
 {
     const auto& art = artifactAs<GammaAnnCompiled>(compiled, kAnnFamily);
     const std::size_t m = compiled.m;
@@ -319,10 +316,7 @@ GammaSim::executeAnn(const CompiledLayer& compiled, std::size_t worker)
     const double weight_density = art.weight_density;
     const auto& fibers_b = art.b.fibers;
 
-    // One thread drives an instance at a time: the pool grows here.
-    if (worker >= scratch_.size())
-        scratch_.resize(worker + 1);
-    ExecuteScratch& scratch = scratch_[worker];
+    ExecuteScratch& scratch = scratch_;
     if (!scratch.mem)
         scratch.mem.emplace(config_.cache, config_.dram);
     else

@@ -75,7 +75,7 @@ GospaSim::prepare(const LayerData& layer) const
 
 RunResult
 GospaSim::executeInput(const CompiledLayer& compiled, std::size_t input,
-                       std::size_t worker)
+                       std::size_t /*worker*/)
 {
     const auto& art = artifactAs<GospaCompiled>(compiled, formatFamily());
     if (input >= art.col_spikes.size())
@@ -91,15 +91,11 @@ GospaSim::executeInput(const CompiledLayer& compiled, std::size_t input,
     const auto& b_meta_off = art.b.meta_off;
     const auto& b_val_off = art.b.val_off;
 
-    // One thread drives an instance at a time: the pool grows here.
-    if (worker >= mem_scratch_.size())
-        mem_scratch_.resize(worker + 1);
-    std::optional<MemorySystem>& mem_scratch = mem_scratch_[worker];
-    if (!mem_scratch)
-        mem_scratch.emplace(config_.cache, config_.dram);
+    if (!mem_scratch_)
+        mem_scratch_.emplace(config_.cache, config_.dram);
     else
-        mem_scratch->reset();
-    MemorySystem& mem = *mem_scratch;
+        mem_scratch_->reset();
+    MemorySystem& mem = *mem_scratch_;
 
     RunResult result;
     result.accel = name();

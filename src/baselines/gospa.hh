@@ -99,9 +99,9 @@ class GospaSim : public Accelerator
     GospaConfig config_;
     std::uint64_t last_psum_dram_ = 0;
 
-    /** Reusable per-worker execute() working state (see
+    /** Reusable execute() memory model (see
      *  LoasSim::ExecuteScratch). */
-    std::vector<std::optional<MemorySystem>> mem_scratch_;
+    std::optional<MemorySystem> mem_scratch_;
 };
 
 } // namespace loas

@@ -100,14 +100,14 @@ SpartenSim::prepare(const LayerData& layer) const
 
 RunResult
 SpartenSim::executeInput(const CompiledLayer& compiled,
-                         std::size_t input, std::size_t worker)
+                         std::size_t input, std::size_t /*worker*/)
 {
     if (compiled.family == kAnnFamily) {
         if (input != 0)
             fatal("layer '%s': ANN compiled layers carry one input, "
                   "got %zu",
                   compiled.spec.name.c_str(), input);
-        return executeAnn(compiled, worker);
+        return executeAnn(compiled);
     }
     const auto& art =
         artifactAs<SpartenCompiled>(compiled, formatFamily());
@@ -127,10 +127,7 @@ SpartenSim::executeInput(const CompiledLayer& compiled,
     const auto& b_meta_off = art.b.meta_off;
     const auto& b_val_off = art.b.val_off;
 
-    // One thread drives an instance at a time: the pool grows here.
-    if (worker >= scratch_.size())
-        scratch_.resize(worker + 1);
-    ExecuteScratch& scratch = scratch_[worker];
+    ExecuteScratch& scratch = scratch_;
 
     if (!scratch.mem)
         scratch.mem.emplace(config_.cache, config_.dram);
@@ -314,7 +311,7 @@ SpartenSim::prepareAnn(const AnnLayerData& layer) const
 }
 
 RunResult
-SpartenSim::executeAnn(const CompiledLayer& compiled, std::size_t worker)
+SpartenSim::executeAnn(const CompiledLayer& compiled)
 {
     const auto& art = artifactAs<SpartenAnnCompiled>(compiled, kAnnFamily);
     const std::size_t m = compiled.m;
@@ -329,10 +326,7 @@ SpartenSim::executeAnn(const CompiledLayer& compiled, std::size_t worker)
     const auto& b_meta_off = art.b.meta_off;
     const auto& b_val_off = art.b.val_off;
 
-    // One thread drives an instance at a time: the pool grows here.
-    if (worker >= scratch_.size())
-        scratch_.resize(worker + 1);
-    ExecuteScratch& scratch = scratch_[worker];
+    ExecuteScratch& scratch = scratch_;
     if (!scratch.mem)
         scratch.mem.emplace(config_.cache, config_.dram);
     else

@@ -164,10 +164,9 @@ class SpartenSim : public Accelerator
     SpikeTensor last_output_;
 
     /** The original SparTen datapath over a prepared ANN layer. */
-    RunResult executeAnn(const CompiledLayer& compiled,
-                         std::size_t worker);
+    RunResult executeAnn(const CompiledLayer& compiled);
 
-    /** Reusable per-worker execute() working state (see
+    /** Reusable execute() working state (see
      *  LoasSim::ExecuteScratch). */
     struct ExecuteScratch
     {
@@ -176,7 +175,7 @@ class SpartenSim : public Accelerator
         std::vector<std::int64_t> correction;  // collapse-path scratch
         std::vector<WorkItem> items;     // current wave
     };
-    std::vector<ExecuteScratch> scratch_;
+    ExecuteScratch scratch_;
 };
 
 } // namespace loas

@@ -95,17 +95,13 @@ SystolicBase::formatFamily() const
 }
 
 MemorySystem&
-SystolicBase::scratchMem(std::size_t worker)
+SystolicBase::scratchMem()
 {
-    // One thread drives an instance at a time: the pool grows here.
-    if (worker >= mem_scratch_.size())
-        mem_scratch_.resize(worker + 1);
-    std::optional<MemorySystem>& mem = mem_scratch_[worker];
-    if (!mem)
-        mem.emplace(config_.cache, config_.dram);
+    if (!mem_scratch_)
+        mem_scratch_.emplace(config_.cache, config_.dram);
     else
-        mem->reset();
-    return *mem;
+        mem_scratch_->reset();
+    return *mem_scratch_;
 }
 
 CompiledLayer
@@ -157,12 +153,12 @@ PtbSim::name() const
 
 RunResult
 PtbSim::executeInput(const CompiledLayer& compiled, std::size_t input,
-                     std::size_t worker)
+                     std::size_t /*worker*/)
 {
     const auto& art =
         artifactAs<SystolicCompiled>(compiled, formatFamily());
     const LayerShape s = analyze(compiled, art, config_.rows, input);
-    MemorySystem& mem = scratchMem(worker);
+    MemorySystem& mem = scratchMem();
     // Dense dispatch: every (m, k) position, every timestep column.
     const std::uint64_t element_steps =
         s.n_tiles * static_cast<std::uint64_t>(s.m) * s.k *
@@ -213,12 +209,12 @@ StellarSim::name() const
 
 RunResult
 StellarSim::executeInput(const CompiledLayer& compiled,
-                         std::size_t input, std::size_t worker)
+                         std::size_t input, std::size_t /*worker*/)
 {
     const auto& art =
         artifactAs<SystolicCompiled>(compiled, formatFamily());
     const LayerShape s = analyze(compiled, art, config_.rows, input);
-    MemorySystem& mem = scratchMem(worker);
+    MemorySystem& mem = scratchMem();
     // Spike-gated dispatch: only actual spikes enter the array.
     const std::uint64_t element_steps = s.n_tiles * s.spikes;
     chargeCommonTraffic(mem, s, element_steps);

@@ -57,14 +57,14 @@ class SystolicBase : public Accelerator
     CompiledLayer prepare(const LayerData& layer) const override;
 
   protected:
-    /** Reusable per-worker execute() memory model (see
+    /** Reusable execute() memory model, reset (see
      *  LoasSim::ExecuteScratch). */
-    MemorySystem& scratchMem(std::size_t worker);
+    MemorySystem& scratchMem();
 
     SystolicConfig config_;
 
   private:
-    std::vector<std::optional<MemorySystem>> mem_scratch_;
+    std::optional<MemorySystem> mem_scratch_;
 };
 
 /** PTB: partially temporal-parallel systolic array. */

@@ -37,6 +37,32 @@ struct LoasCompiled : CompiledArtifact
     CompiledWeightFibers b;              // columns of B
 };
 
+/**
+ * The LoAS join phase over one input of one compiled layer: what every
+ * TPPE computes for its fiber pair, and the output compressor for its
+ * row, whatever the PE count, cache or HBM. Pair (m, n) is index
+ * m * N + n.
+ */
+struct LoasJoinTable : JoinTable
+{
+    /** Inner-join cycles of each pair. */
+    std::vector<std::uint32_t> cycles;
+
+    /** Pair p's matched spike offsets are matched[begin[p], begin[p+1]). */
+    std::vector<std::uint32_t> begin;
+    std::vector<std::uint32_t> matched;
+
+    /** Compressed output fiber of each row: metadata and value bytes. */
+    std::vector<std::uint64_t> row_meta_bytes;
+    std::vector<std::uint64_t> row_value_bytes;
+
+    /** Compressor sweep cycles of the last row (not overlapped). */
+    std::uint64_t last_row_cycles = 0;
+
+    /** Join, P-LIF and output-compression ops of the whole layer. */
+    OpCounts ops;
+};
+
 /** LoAS accelerator model. */
 class LoasSim : public Accelerator
 {
@@ -55,15 +81,35 @@ class LoasSim : public Accelerator
 
     CompiledLayer prepare(const LayerData& layer) const override;
 
+    /**
+     * Join, then replay, one wave at a time: the replay of
+     * replayInput() with each wave's pairs joined just before it, so
+     * no whole-layer table is built.
+     */
     RunResult executeInput(const CompiledLayer& compiled,
                            std::size_t input,
                            std::size_t worker) override;
 
+    /**
+     * The join key covers the join datapath, the LIF parameters and
+     * the output rule; the execute key adds the PE count, cache, HBM
+     * and wave pipelining. `t` is in neither: it only bounds the
+     * layer's T. A layer with more timesteps than `t` gets no keys,
+     * so its execute fails as it would alone.
+     */
+    ShareKeys shareKeys(const LayerSpec& layer) const override;
+
+    std::shared_ptr<const JoinTable>
+    joinInput(const CompiledLayer& compiled, std::size_t input) override;
+
+    RunResult replayInput(const CompiledLayer& compiled,
+                          std::size_t input,
+                          const JoinTable& table) override;
 
     /**
-     * Output spike tensor of input 0 of the last simulated layer,
-     * before output compression (for verification against the
-     * functional reference).
+     * Output spike tensor of input 0 of the last layer run through
+     * executeInput(), before output compression (for verification
+     * against the functional reference).
      */
     const SpikeTensor& lastOutput() const { return last_output_; }
 
@@ -74,22 +120,57 @@ class LoasSim : public Accelerator
     bool ft_compress_;
     SpikeTensor last_output_;
 
+    /** The compiled operands of `input`, after the execute checks. */
+    const LoasCompiled& checkedArtifact(const CompiledLayer& compiled,
+                                        std::size_t input) const;
+
+    /** One wave item's join, as the replay reads it. */
+    struct PairJoin
+    {
+        std::uint64_t cycles;
+        std::size_t first;  // index of its first offset in a wave buffer
+        std::size_t count;
+        const std::uint32_t* offsets;  // `count` matched spike offsets
+    };
+
+    /** Size `table`'s per-row data for M rows and zero its totals. */
+    static void resetLayerTotals(std::size_t m, LoasJoinTable& table);
+
+    /** Compress one output row into `table`'s per-row data and ops. */
+    void compressRow(const OutputCompressor& compressor, std::size_t row,
+                     const TimeWord* words, std::size_t n, int timesteps,
+                     LoasJoinTable& table);
+
     /**
-     * Reusable working state of one execute worker slot. An
-     * accelerator instance is driven by one thread at a time (the
-     * SimEngine gives each engine thread its own instances), so the
-     * buffers warm up on the first layer and steady-state execution
-     * performs no heap allocations.
+     * Replay phase: waves, memory system and cycle accounting. Before
+     * each wave, `join_wave(items, row_begin, row_end, tile_done)`
+     * fills scratch_.wave with its items' joins; the rows are those of
+     * the wave's row tile and `tile_done` marks the tile's last wave.
+     * The ops and per-row data of `totals` are read after the last
+     * wave.
+     */
+    template <typename JoinWave>
+    RunResult replay(const CompiledLayer& compiled, std::size_t input,
+                     const LoasJoinTable& totals, JoinWave&& join_wave);
+
+    /**
+     * Reusable execute working state. An accelerator instance is
+     * driven by one thread at a time (the SimEngine gives each engine
+     * thread its own instances), so the buffers warm up on the first
+     * layer and steady-state execution performs no heap allocations.
      */
     struct ExecuteScratch
     {
         std::optional<MemorySystem> mem;
         JoinScratch join;
-        std::vector<TimeWord> out_rows;  // m x n, row-major
         std::vector<WorkItem> items;     // current wave
+        std::vector<PairJoin> wave;      // its items' joins
+        std::vector<std::uint32_t> wave_offsets;
+        std::vector<TimeWord> tile_words;  // output words of a row tile
         CompressResult compress;
+        LoasJoinTable table;  // executeInput's layer totals (no pairs)
     };
-    std::vector<ExecuteScratch> scratch_;
+    ExecuteScratch scratch_;
 };
 
 } // namespace loas

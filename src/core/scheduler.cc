@@ -17,6 +17,19 @@ Scheduler::waveCount() const
     return ceilDiv(m_ * n_, static_cast<std::size_t>(num_pes_));
 }
 
+std::pair<std::size_t, std::size_t>
+Scheduler::tileWaves(std::size_t t) const
+{
+    // A full tile holds n * num_pes items, a whole number of waves, so
+    // tile t starts at wave t * n; the last (possibly partial) tile
+    // ends with the last wave.
+    const auto ts = static_cast<std::size_t>(num_pes_);
+    const std::size_t first = std::min(t * n_, waveCount());
+    const std::size_t last =
+        (t + 1) * ts >= m_ ? waveCount() : (t + 1) * n_;
+    return {first, last};
+}
+
 std::vector<WorkItem>
 Scheduler::wave(std::size_t w) const
 {

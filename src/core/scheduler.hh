@@ -12,6 +12,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace loas {
@@ -41,6 +42,13 @@ class Scheduler
      * allocate nothing.
      */
     void wave(std::size_t w, std::vector<WorkItem>& out) const;
+
+    /**
+     * Waves [first, second) of row tile `t`: together they produce
+     * exactly the outputs of rows [t * num_pes, min((t + 1) * num_pes,
+     * M)), and tiles follow each other in wave order.
+     */
+    std::pair<std::size_t, std::size_t> tileWaves(std::size_t t) const;
 
     /** Total output neurons. */
     std::size_t totalItems() const { return m_ * n_; }

@@ -4,6 +4,7 @@
 
 #include "api/accel_spec.hh"
 #include "api/json.hh"
+#include "api/sim_engine.hh"
 #include "api/sweep.hh"
 #include "api/versions.hh"
 #include "core/kernel_dispatch.hh"
@@ -68,8 +69,9 @@ parseRunSpec(const JsonValue& request)
     // submits (and replies) exactly as before.
     spec.batch = static_cast<std::size_t>(
         getUintField(request, "batch", spec.batch));
-    if (spec.batch == 0)
-        throw std::invalid_argument("batch must be >= 1");
+    if (spec.batch == 0 || spec.batch > kMaxBatch)
+        throw std::invalid_argument("batch must be in [1, " +
+                                    std::to_string(kMaxBatch) + "]");
     spec.energy = request.getBool("energy", spec.energy);
     spec.timeout_ms = request.getNumber("timeout_ms", 0.0);
     if (spec.timeout_ms < 0)

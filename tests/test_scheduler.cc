@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <tuple>
 
 #include "core/scheduler.hh"
 
@@ -50,6 +52,35 @@ TEST(Scheduler, SmallMSpansColumns)
     for (const auto& item : items)
         cols.insert(item.n);
     EXPECT_EQ(cols.size(), 4u);
+}
+
+TEST(Scheduler, TileWavesCoverExactlyTheirRows)
+{
+    // Full tiles, a partial last tile, and M below the PE count.
+    for (const auto& [m, n, pes] :
+         {std::tuple{48, 5, 16}, std::tuple{17, 3, 16},
+          std::tuple{4, 8, 16}, std::tuple{37, 7, 8}}) {
+        SCOPED_TRACE(std::to_string(m) + "x" + std::to_string(n) +
+                     " on " + std::to_string(pes));
+        const Scheduler sched(m, n, pes);
+        const std::size_t tiles = (m + pes - 1) / pes;
+        std::size_t next_wave = 0;
+        for (std::size_t t = 0; t < tiles; ++t) {
+            const auto [first, last] = sched.tileWaves(t);
+            EXPECT_EQ(first, next_wave);
+            std::size_t items = 0;
+            for (std::size_t w = first; w < last; ++w)
+                for (const auto& item : sched.wave(w)) {
+                    EXPECT_EQ(item.m / pes, t);
+                    ++items;
+                }
+            const std::size_t rows =
+                std::min<std::size_t>(pes, m - t * pes);
+            EXPECT_EQ(items, rows * n);
+            next_wave = last;
+        }
+        EXPECT_EQ(next_wave, sched.waveCount());
+    }
 }
 
 TEST(Scheduler, LastWaveMayBePartial)

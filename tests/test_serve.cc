@@ -25,6 +25,7 @@
 #include "api/accel_spec.hh"
 #include "api/json.hh"
 #include "api/registry.hh"
+#include "api/sim_engine.hh"
 #include "api/versions.hh"
 #include "common/fault.hh"
 #include "serve/client.hh"
@@ -185,6 +186,36 @@ TEST(Serve, MalformedAndUnknownRequestsGetStructuredErrors)
     const JsonValue big_id =
         client.callJson("{\"cmd\": \"poll\", \"id\": 1e300}");
     EXPECT_EQ(big_id.getString("error", ""), "bad_request");
+}
+
+TEST(Serve, OversizedBatchIsRejectedAndTheDaemonKeepsServing)
+{
+    TestServer server;
+    ServeClient client(server.path());
+
+    // 1e15 is an exact integer below 2^53, so only the batch bound
+    // stands between it and a synthesis of 10^15 inputs.
+    const JsonValue huge = client.callJson(
+        "{\"cmd\": \"submit\", \"accel\": \"loas\", "
+        "\"network\": \"alexnet-l4\", \"batch\": 1e15}");
+    EXPECT_FALSE(huge.getBool("ok", true));
+    EXPECT_EQ(huge.getString("error", ""), "bad_request");
+    EXPECT_NE(huge.getString("message", "").find("batch"),
+              std::string::npos);
+    const JsonValue over = client.callJson(
+        "{\"cmd\": \"submit\", \"accel\": \"loas\", "
+        "\"network\": \"alexnet-l4\", \"batch\": " +
+        std::to_string(kMaxBatch + 1) + "}");
+    EXPECT_EQ(over.getString("error", ""), "bad_request");
+
+    const JsonValue stats = client.callJson("{\"cmd\": \"stats\"}");
+    EXPECT_EQ(stats.get("queue")->getNumber("submitted", -1), 0.0);
+
+    const JsonValue next = client.callJson(
+        "{\"cmd\": \"submit\", \"accel\": \"loas\", "
+        "\"network\": \"alexnet-l4\", \"batch\": 2}");
+    ASSERT_TRUE(next.getBool("ok", false));
+    EXPECT_EQ(next.getString("state", ""), "done");
 }
 
 TEST(Serve, OversizedRequestLineGetsBadRequestAndClose)

@@ -7,6 +7,7 @@
 #include <memory>
 #include <stdexcept>
 
+#include "api/accel_spec.hh"
 #include "api/json.hh"
 #include "api/registry.hh"
 #include "api/sim_engine.hh"
@@ -205,6 +206,143 @@ TEST(SimEngineCancel, CancelRaisedMidCellStopsWithinOneLayerTask)
     // token was raised still finish, at most one per other thread.
     const int threads = 4;
     EXPECT_LE(runProbeUntilCancelled(12, threads, 2), 2 + threads - 1);
+}
+
+/** A network of one T=8 copy of the AlexNet L4 layer. */
+NetworkSpec
+t8Network()
+{
+    LayerSpec layer = tables::alexnetL4();
+    layer.t = 8;
+    return NetworkSpec{"t8-net", {layer}};
+}
+
+TEST(SimEngineSharing, TooFewTimestepsStillFailsBesideItsTwin)
+{
+    // On a T=8 layer, loas?t=4 must fail as it does alone; sharing
+    // must not map it onto the loas?t=8 cell's results.
+    SimRequest request;
+    request.accels = {"loas?t=4", "loas?t=8"};
+    request.networks = {t8Network()};
+    request.threads = 1;
+    EXPECT_EXIT(SimEngine().run(request), ::testing::ExitedWithCode(1),
+                "LoAS configured for 4 timesteps, layer '.*' needs 8");
+    request.accels = {"loas?t=8", "loas?t=4"};
+    EXPECT_EXIT(SimEngine().run(request), ::testing::ExitedWithCode(1),
+                "LoAS configured for 4 timesteps, layer '.*' needs 8");
+}
+
+/** Join, replay and execute calls made by replay-probe instances. */
+std::atomic<int> g_probe_joins{0};
+std::atomic<int> g_probe_replays{0};
+std::atomic<int> g_probe_solo_executes{0};
+
+/** LoAS that counts its join, replay and execute calls. */
+class ReplayProbe : public LoasSim
+{
+  public:
+    using LoasSim::LoasSim;
+
+    RunResult
+    executeInput(const CompiledLayer& compiled, std::size_t input,
+                 std::size_t worker) override
+    {
+        ++g_probe_solo_executes;
+        return LoasSim::executeInput(compiled, input, worker);
+    }
+
+    std::shared_ptr<const JoinTable>
+    joinInput(const CompiledLayer& compiled, std::size_t input) override
+    {
+        ++g_probe_joins;
+        return LoasSim::joinInput(compiled, input);
+    }
+
+    RunResult
+    replayInput(const CompiledLayer& compiled, std::size_t input,
+                const JoinTable& table) override
+    {
+        ++g_probe_replays;
+        return LoasSim::replayInput(compiled, input, table);
+    }
+};
+
+const RegisterAccelerator kRegisterReplayProbe(
+    "replay-probe",
+    {"LoAS that counts its joins and replays (test only)",
+     {"t", "pes"},
+     false,
+     [](const AccelSpec& spec) {
+         OptionReader opts(spec);
+         LoasConfig config;
+         config.timesteps = opts.getInt("t", config.timesteps);
+         config.num_pes = opts.getInt("pes", config.num_pes);
+         opts.finish();
+         return std::make_unique<ReplayProbe>(config);
+     }});
+
+TEST(SimEngineSharing, EqualExecuteKeysReplayOncePerLayerInput)
+{
+    // Three designs over two T=4 layers and two inputs: t=4 and t=8
+    // share an execute key, pes=8 shares only the join key. Each
+    // (layer, input) joins once and replays twice.
+    const std::size_t layers = 2;
+    const std::size_t batch = 2;
+    SimRequest request;
+    request.accels = {"replay-probe?t=4", "replay-probe?t=8",
+                      "replay-probe?pes=8"};
+    request.networks = {NetworkSpec{
+        "probe-net", {tables::alexnetL4(), tables::vgg16L8()}}};
+    request.batch = batch;
+    request.seed = 13;
+
+    SimRequest plain = request;
+    plain.accels = {"loas", "loas?pes=8"};
+    plain.threads = 1;
+    const SimReport reference = SimEngine().run(plain);
+
+    for (const int threads : {1, 4}) {
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        g_probe_joins.store(0);
+        g_probe_replays.store(0);
+        g_probe_solo_executes.store(0);
+        request.threads = threads;
+        const SimReport report = SimEngine().run(request);
+        EXPECT_EQ(g_probe_joins.load(),
+                  static_cast<int>(layers * batch));
+        EXPECT_EQ(g_probe_replays.load(),
+                  static_cast<int>(2 * layers * batch));
+        EXPECT_EQ(g_probe_solo_executes.load(), 0);
+
+        // Shared work changes nothing: every cell equals its design
+        // run alone, per input too.
+        const auto same = [](const SimRun& a, const SimRun& b) {
+            SimRun relabeled = a;
+            relabeled.accel_spec = b.accel_spec;
+            return identicalRuns(relabeled, b);
+        };
+        EXPECT_TRUE(same(report.runs[0], reference.runs[0]));
+        EXPECT_TRUE(same(report.runs[1], reference.runs[0]));
+        EXPECT_TRUE(same(report.runs[2], reference.runs[1]));
+    }
+
+    // A design alone has nobody to share with: it executes.
+    g_probe_joins.store(0);
+    g_probe_replays.store(0);
+    g_probe_solo_executes.store(0);
+    request.accels = {"replay-probe"};
+    request.threads = 4;
+    SimEngine().run(request);
+    EXPECT_EQ(g_probe_solo_executes.load(),
+              static_cast<int>(layers * batch));
+    EXPECT_EQ(g_probe_joins.load() + g_probe_replays.load(), 0);
+}
+
+TEST(SimEngineSharing, BatchAboveTheLimitIsRejected)
+{
+    SimRequest request = smallRequest();
+    request.batch = kMaxBatch + 1;
+    EXPECT_THROW(SimEngine().run(request), std::invalid_argument);
 }
 
 TEST(SimEngineSynthesis, ColdRunSynthesizesEachSharedLayerOnce)

@@ -190,7 +190,8 @@ usage(const char* argv0)
         "  --seed N        workload-synthesis seed (default 101)\n"
         "  --batch N       inputs per (accel, network) cell; each gets\n"
         "                  an independently-seeded spike tensor, weights\n"
-        "                  and compiled artifacts are shared (default 1)\n"
+        "                  and compiled artifacts are shared (default 1,\n"
+        "                  at most 1024)\n"
         "  --threads N     worker threads (default: all cores)\n"
         "  --no-energy     skip the energy model\n"
         "  --json PATH     write the full report as JSON (\"-\": stdout)\n"
@@ -321,13 +322,14 @@ handleCommonFlag(const std::string& arg, ArgCursor& args,
     return handleIsaFlag(arg, args);
 }
 
-/** Parse a --batch value (>= 1 enforced here, not in the engine). */
+/** Parse a --batch value in [1, kMaxBatch]. */
 std::size_t
 parseBatch(const std::string& flag, const std::string& value)
 {
     const std::uint64_t batch = parseUint(flag, value);
-    if (batch == 0)
-        throw std::invalid_argument(flag + " must be >= 1");
+    if (batch == 0 || batch > kMaxBatch)
+        throw std::invalid_argument(flag + " must be in [1, " +
+                                    std::to_string(kMaxBatch) + "]");
     return static_cast<std::size_t>(batch);
 }
 
