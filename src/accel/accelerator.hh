@@ -104,6 +104,13 @@ class Accelerator
                                    std::size_t worker) = 0;
 
     /**
+     * Reject a layer this design cannot run (std::invalid_argument),
+     * before anything is synthesized. The default accepts every
+     * layer.
+     */
+    virtual void checkLayer(const LayerSpec& /*layer*/) const {}
+
+    /**
      * Sharing keys of this design on a layer with spec `layer`. Keys
      * of different designs are compared only for the same layer and
      * format family. The default shares nothing.

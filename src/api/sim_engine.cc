@@ -51,8 +51,9 @@ SimEngine::run(const SimRequest& request) const
     const auto& registry = AcceleratorRegistry::instance();
 
     // Validate the whole request up front: parse every spec, resolve
-    // every registry key, and build (but discard) one instance so bad
-    // options surface before any simulation time is spent.
+    // every registry key, and build one probe instance per design so
+    // bad options, and layers a design cannot run, surface before any
+    // simulation time is spent.
     struct AccelJob
     {
         std::string spec_string;
@@ -61,7 +62,7 @@ SimEngine::run(const SimRequest& request) const
         std::string name;    // Accelerator::name(), labels cell totals
         std::string family;  // Accelerator::formatFamily()
         bool releases = false;  // first design of its family + variant
-        std::unique_ptr<Accelerator> probe;  // answers shareKeys()
+        std::unique_ptr<Accelerator> probe;  // checkLayer(), shareKeys()
     };
     std::vector<AccelJob> accels;
     accels.reserve(request.accels.size());
@@ -90,6 +91,10 @@ SimEngine::run(const SimRequest& request) const
         throw std::invalid_argument(
             "SimRequest batch must be in [1, " +
             std::to_string(kMaxBatch) + "]");
+    for (const auto& accel : accels)
+        for (const auto& net : request.networks)
+            for (const auto& layer : net.layers)
+                accel.probe->checkLayer(layer);
 
     const int threads = resolveThreads(request.threads);
 

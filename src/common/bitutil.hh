@@ -6,6 +6,7 @@
 #pragma once
 
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 
 namespace loas {
@@ -51,6 +52,31 @@ constexpr std::uint64_t
 lowMask64(int n)
 {
     return n >= 64 ? ~0ull : ((1ull << n) - 1);
+}
+
+/**
+ * Smallest i in [w, w_end) with (a[i] & b[i]) != 0, else w_end: the
+ * skip-scan every join runs over its two bitmasks' words, one AND per
+ * word, hopping over the zero-AND words between matches.
+ */
+inline std::size_t
+firstMatchWord(const std::uint64_t* a, const std::uint64_t* b,
+               std::size_t w, std::size_t w_end)
+{
+    while (w < w_end && (a[w] & b[w]) == 0)
+        ++w;
+    return w;
+}
+
+/** popcount(a[i] & b[i]) summed over i in [0, n). */
+inline std::uint64_t
+andPopcountWords(const std::uint64_t* a, const std::uint64_t* b,
+                 std::size_t n)
+{
+    std::uint64_t count = 0;
+    for (std::size_t i = 0; i < n; ++i)
+        count += static_cast<std::uint64_t>(std::popcount(a[i] & b[i]));
+    return count;
 }
 
 } // namespace loas

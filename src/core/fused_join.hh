@@ -26,10 +26,10 @@
  * purely a performance decision. The kernel is allocation-free: all
  * output lands in caller-owned buffers.
  *
- * Both loops run through the runtime-dispatched kernel table
- * (core/kernel_dispatch.hh): on vector ISAs the T accumulators live
- * in lanes and each match is one masked lane-add — same sums, same
- * stats, at any ISA.
+ * Both loops skip-scan the AND words inline. With T <= 8 on an AVX2
+ * host (core/kernel_dispatch.hh picks the ISA) the T accumulators
+ * live in vector lanes and each match is one masked lane-add. The
+ * sums and stats are the same at any ISA.
  */
 
 #pragma once
@@ -79,6 +79,28 @@ FusedJoinStats fusedTemporalJoin(const SpikeFiber& fiber_a,
                                  int timesteps, bool collapse,
                                  std::int32_t* sums,
                                  std::int64_t* correction = nullptr);
+
+/**
+ * One match of Eq. 1's speculate-and-correct step, shared by the
+ * scalar collapse kernel and the LoAS inner join: add `weight` to the
+ * pseudo-accumulator (speculating an all-ones spike word) and into
+ * correction[t] for every zero bit t of the temporal word `tw` within
+ * `all_ones`. Returns the number of corrected timesteps.
+ */
+inline int
+collapseMatch(std::int32_t weight, std::uint32_t tw,
+              std::uint32_t all_ones, std::int64_t& pseudo,
+              std::int64_t* correction)
+{
+    pseudo += weight;
+    std::uint32_t zeros = ~tw & all_ones;
+    const int corrected = __builtin_popcount(zeros);
+    while (zeros) {
+        correction[__builtin_ctz(zeros)] += weight;
+        zeros &= zeros - 1;
+    }
+    return corrected;
+}
 
 /**
  * The data-dependent collapse policy: collapse when at least

@@ -4,7 +4,7 @@
 
 #include "common/bitutil.hh"
 #include "common/logging.hh"
-#include "core/kernel_dispatch.hh"
+#include "core/fused_join.hh"
 
 namespace loas {
 
@@ -77,9 +77,8 @@ InnerJoinUnit::join(const SpikeFiber& fiber_a,
     const std::uint64_t* const wa = words_a.data();
     const std::uint64_t* const wb = fiber_b.mask.words().data();
     const std::size_t num_words = words_a.size();
-    const kernels::KernelOps& kops = kernels::ops();
-    for (std::size_t w = kops.firstMatchWord(wa, wb, 0, num_words);
-         w < num_words; w = kops.firstMatchWord(wa, wb, w + 1, num_words)) {
+    for (std::size_t w = firstMatchWord(wa, wb, 0, num_words);
+         w < num_words; w = firstMatchWord(wa, wb, w + 1, num_words)) {
         const std::uint64_t aw = wa[w];
         const std::uint64_t bw = wb[w];
         const std::size_t base = w * Bitmask::kWordBits;
@@ -128,8 +127,8 @@ InnerJoinUnit::join(const SpikeFiber& fiber_a,
             if (spike_word != all_ones)
                 ++corrections; // mis-speculation
             correction_ops += static_cast<std::uint64_t>(
-                kernels::collapseMatch(fiber_b.values[b_off], spike_word,
-                                       all_ones, pseudo, correction));
+                collapseMatch(fiber_b.values[b_off], spike_word,
+                              all_ones, pseudo, correction));
             ++matches;
         }
     }

@@ -31,12 +31,12 @@
  * chunk.
  *
  * The host-side kernel is allocation-free and word-parallel: the
- * kernel table is fetched once per join, its dispatched
- * firstMatchWord scan hops over zero AND words of the whole fiber,
- * matches come out one ctz at a time, both fiber offsets come from
- * the O(1) RankedBitmask prefix tables compiled in prepare(), and the
- * per-match arithmetic is kernels::collapseMatch, the same Eq. 1 step
- * as the fused collapse kernel. All working state lives in a
+ * inline firstMatchWord scan (common/bitutil.hh) hops over zero AND
+ * words of the whole fiber, matches come out one ctz at a time, both
+ * fiber offsets come from the O(1) RankedBitmask prefix tables
+ * compiled in prepare(), and the per-match arithmetic is
+ * collapseMatch (core/fused_join.hh), the same Eq. 1 step as the
+ * fused collapse kernel. All working state lives in a
  * caller-owned JoinScratch reused across calls.
  */
 

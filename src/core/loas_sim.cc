@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <stdexcept>
+#include <string>
 
 #include "api/registry.hh"
 #include "common/bitutil.hh"
@@ -147,11 +149,19 @@ LoasSim::executeInput(const CompiledLayer& compiled, std::size_t input,
         });
 }
 
-ShareKeys
-LoasSim::shareKeys(const LayerSpec& layer) const
+void
+LoasSim::checkLayer(const LayerSpec& layer) const
 {
     if (layer.t > config_.timesteps)
-        return {};
+        throw std::invalid_argument(
+            "LoAS configured for " + std::to_string(config_.timesteps) +
+            " timesteps, layer '" + layer.name + "' needs " +
+            std::to_string(layer.t));
+}
+
+ShareKeys
+LoasSim::shareKeys(const LayerSpec& /*layer*/) const
+{
     const InnerJoinConfig& join = config_.join;
     const LifParams& lif = config_.lif;
     char buf[256];

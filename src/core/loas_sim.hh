@@ -90,12 +90,14 @@ class LoasSim : public Accelerator
                            std::size_t input,
                            std::size_t worker) override;
 
+    /** Rejects a layer with more timesteps than `t`. */
+    void checkLayer(const LayerSpec& layer) const override;
+
     /**
      * The join key covers the join datapath, the LIF parameters and
      * the output rule; the execute key adds the PE count, cache, HBM
      * and wave pipelining. `t` is in neither: it only bounds the
-     * layer's T. A layer with more timesteps than `t` gets no keys,
-     * so its execute fails as it would alone.
+     * layer's T, which checkLayer() enforces before anything runs.
      */
     ShareKeys shareKeys(const LayerSpec& layer) const override;
 

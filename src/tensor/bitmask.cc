@@ -4,7 +4,6 @@
 
 #include "common/bitutil.hh"
 #include "common/logging.hh"
-#include "core/kernel_dispatch.hh"
 
 namespace loas {
 
@@ -94,7 +93,7 @@ Bitmask::andPopcount(const Bitmask& other) const
     if (size_ != other.size_)
         panic("Bitmask AND of mismatched sizes %zu vs %zu", size_,
               other.size_);
-    return static_cast<std::size_t>(kernels::ops().andPopcountWords(
+    return static_cast<std::size_t>(andPopcountWords(
         words_.data(), other.words_.data(), words_.size()));
 }
 

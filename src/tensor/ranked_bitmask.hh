@@ -24,7 +24,6 @@
 
 #include "common/bitutil.hh"
 #include "common/logging.hh"
-#include "core/kernel_dispatch.hh"
 #include "tensor/bitmask.hh"
 
 namespace loas {
@@ -131,29 +130,22 @@ forEachMatch(const RankedBitmask& a, const RankedBitmask& b, Fn&& fn)
     if (a.mask().size() != b.mask().size())
         panic("forEachMatch over mismatched mask sizes %zu vs %zu",
               a.mask().size(), b.mask().size());
-    const auto& wa = a.mask().words();
-    const auto& wb = b.mask().words();
-    const kernels::KernelOps& kops = kernels::ops();
-    const std::size_t n = wa.size();
-    // The dispatched scan hops straight to the next non-zero AND word
-    // (the common case at realistic sparsities is long zero runs);
-    // every matched word then fans out exactly as the scalar loop
-    // would, so results are bit-identical at any ISA.
-    for (std::size_t w = kops.firstMatchWord(wa.data(), wb.data(), 0, n);
-         w < n;
-         w = kops.firstMatchWord(wa.data(), wb.data(), w + 1, n)) {
+    const std::uint64_t* const wa = a.mask().words().data();
+    const std::uint64_t* const wb = b.mask().words().data();
+    const std::size_t n = a.mask().words().size();
+    // The scan hops straight to the next non-zero AND word (the common
+    // case at realistic sparsities is long zero runs). Word-local
+    // state is hoisted out of the per-match loop: both word ranks load
+    // once, and positions/ranks derive from the cached words.
+    for (std::size_t w = firstMatchWord(wa, wb, 0, n); w < n;
+         w = firstMatchWord(wa, wb, w + 1, n)) {
         const std::uint64_t aw = wa[w];
-        std::uint64_t x = aw & wb[w];
-        // Word-local state hoisted out of the per-match loop: both
-        // word ranks load once, and positions/ranks derive from the
-        // cached words.
         const std::uint64_t bw = wb[w];
         const std::size_t base = w * Bitmask::kWordBits;
         const std::size_t ra = a.wordRank(w);
         const std::size_t rb = b.wordRank(w);
-        while (x) {
+        for (std::uint64_t x = aw & bw; x != 0; x &= x - 1) {
             const int bit = lowestSetBit(x);
-            x &= x - 1;
             fn(base + static_cast<std::size_t>(bit),
                ra + static_cast<std::size_t>(
                         popcount64(aw & lowMask64(bit))),
@@ -175,21 +167,19 @@ forEachMatch(const Bitmask& a, const RankedBitmask& b, Fn&& fn)
     if (a.size() != b.mask().size())
         panic("forEachMatch over mismatched mask sizes %zu vs %zu",
               a.size(), b.mask().size());
-    const auto& wa = a.words();
-    const auto& wb = b.mask().words();
-    const kernels::KernelOps& kops = kernels::ops();
-    const std::size_t n = wa.size();
-    for (std::size_t w = kops.firstMatchWord(wa.data(), wb.data(), 0, n);
-         w < n;
-         w = kops.firstMatchWord(wa.data(), wb.data(), w + 1, n)) {
-        std::uint64_t x = wa[w] & wb[w];
-        while (x) {
+    const std::uint64_t* const wa = a.words().data();
+    const std::uint64_t* const wb = b.mask().words().data();
+    const std::size_t n = a.words().size();
+    for (std::size_t w = firstMatchWord(wa, wb, 0, n); w < n;
+         w = firstMatchWord(wa, wb, w + 1, n)) {
+        const std::uint64_t bw = wb[w];
+        const std::size_t base = w * Bitmask::kWordBits;
+        const std::size_t rb = b.wordRank(w);
+        for (std::uint64_t x = wa[w] & bw; x != 0; x &= x - 1) {
             const int bit = lowestSetBit(x);
-            x &= x - 1;
-            fn(w * Bitmask::kWordBits + static_cast<std::size_t>(bit),
-               b.wordRank(w) +
-                   static_cast<std::size_t>(
-                       popcount64(wb[w] & lowMask64(bit))));
+            fn(base + static_cast<std::size_t>(bit),
+               rb + static_cast<std::size_t>(
+                        popcount64(bw & lowMask64(bit))));
         }
     }
 }

@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/bitutil.hh"
@@ -20,6 +22,27 @@
 
 namespace loas {
 namespace {
+
+/** Word counts from empty and one word through odd lengths around 4
+ *  and 8 words to a long fiber. */
+constexpr std::size_t kScanWordCounts[] = {0, 1, 3, 4, 5, 8, 9, 17, 130};
+
+/**
+ * A mask pair built word by word: `a` holds random words, and each
+ * word of `b` overlaps it at random with probability `overlap`, else
+ * is a's complement (a zero AND word the scan must skip).
+ */
+std::pair<Bitmask, Bitmask>
+wordOverlapMasks(std::size_t words, double overlap, Rng& rng)
+{
+    std::vector<std::uint64_t> a(words), b(words);
+    for (std::size_t i = 0; i < words; ++i) {
+        a[i] = rng.uniformInt(~0ull);
+        b[i] = rng.bernoulli(overlap) ? rng.uniformInt(~0ull) : ~a[i];
+    }
+    const std::size_t bits = words * Bitmask::kWordBits;
+    return {Bitmask(bits, std::move(a)), Bitmask(bits, std::move(b))};
+}
 
 /** Random spike fiber: `density` non-silent, `fire_p` per timestep
  *  bit (fire_p 1.0 = fully dense temporal words). Non-silent rows
@@ -269,19 +292,12 @@ TEST(ForEachMatch, FullRangeTwoRankOverloadAgreesWithBitScan)
 {
     // The fused kernel's overload must visit exactly the positions set
     // in both masks, in order, with both ranks — including partial
-    // trailing words.
-    for (const std::size_t k : {1ul, 64ul, 65ul, 130ul, 511ul}) {
-        Rng rng(k * 13 + 1);
-        Bitmask a(k), b(k);
-        for (std::size_t i = 0; i < k; ++i) {
-            if (rng.bernoulli(0.5))
-                a.set(i);
-            if (rng.bernoulli(0.4))
-                b.set(i);
-        }
+    // trailing words and long runs of zero AND words.
+    const auto check = [](const Bitmask& a, const Bitmask& b,
+                          const std::string& what) {
         const RankedBitmask ra(a), rb(b);
         std::vector<std::size_t> want, got;
-        for (std::size_t i = 0; i < k; ++i) {
+        for (std::size_t i = 0; i < a.size(); ++i) {
             if (a.test(i) && b.test(i)) {
                 want.push_back(i);
                 want.push_back(a.rank(i));
@@ -295,8 +311,27 @@ TEST(ForEachMatch, FullRangeTwoRankOverloadAgreesWithBitScan)
                          got.push_back(rank_a);
                          got.push_back(rank_b);
                      });
-        EXPECT_EQ(got, want) << "k=" << k;
+        EXPECT_EQ(got, want) << what;
+    };
+    for (const std::size_t k : {1ul, 64ul, 65ul, 130ul, 511ul}) {
+        Rng rng(k * 13 + 1);
+        Bitmask a(k), b(k);
+        for (std::size_t i = 0; i < k; ++i) {
+            if (rng.bernoulli(0.5))
+                a.set(i);
+            if (rng.bernoulli(0.4))
+                b.set(i);
+        }
+        check(a, b, "k=" + std::to_string(k));
     }
+    Rng rng(7);
+    for (const std::size_t words : kScanWordCounts)
+        for (const double overlap : {0.9, 0.05, 0.0}) {
+            const auto [a, b] = wordOverlapMasks(words, overlap, rng);
+            check(a, b,
+                  "words=" + std::to_string(words) +
+                      " overlap=" + std::to_string(overlap));
+        }
 }
 
 } // namespace

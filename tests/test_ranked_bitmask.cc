@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hh"
@@ -19,6 +21,27 @@ randomMask(std::size_t size, double density, std::uint64_t seed)
         if (rng.bernoulli(density))
             mask.set(i);
     return mask;
+}
+
+/** Word counts from empty and one word through odd lengths around 4
+ *  and 8 words to a long fiber. */
+constexpr std::size_t kScanWordCounts[] = {0, 1, 3, 4, 5, 8, 9, 17, 130};
+
+/**
+ * A mask pair built word by word: `a` holds random words, and each
+ * word of `b` overlaps it at random with probability `overlap`, else
+ * is a's complement (a zero AND word the scan must skip).
+ */
+std::pair<Bitmask, Bitmask>
+wordOverlapMasks(std::size_t words, double overlap, Rng& rng)
+{
+    std::vector<std::uint64_t> a(words), b(words);
+    for (std::size_t i = 0; i < words; ++i) {
+        a[i] = rng.uniformInt(~0ull);
+        b[i] = rng.bernoulli(overlap) ? rng.uniformInt(~0ull) : ~a[i];
+    }
+    const std::size_t bits = words * Bitmask::kWordBits;
+    return {Bitmask(bits, std::move(a)), Bitmask(bits, std::move(b))};
 }
 
 TEST(RankedBitmask, EmptyMask)
@@ -99,17 +122,26 @@ referenceMatches(const Bitmask& a, const Bitmask& b, std::size_t lo,
 
 TEST(ForEachMatch, FullRangeOverloadTracksWeightRank)
 {
-    const std::size_t k = 200;
-    const Bitmask a = randomMask(k, 0.6, 17);
-    const Bitmask b = randomMask(k, 0.2, 23);
-    const RankedBitmask rb(b);
-    const auto want = referenceMatches(a, b, 0, k);
-    std::vector<std::size_t> got;
-    forEachMatch(a, rb, [&](std::size_t pos, std::size_t rank_b) {
-        EXPECT_EQ(rank_b, b.rank(pos));
-        got.push_back(pos);
-    });
-    EXPECT_EQ(got, want);
+    const auto check = [](const Bitmask& a, const Bitmask& b,
+                          const std::string& what) {
+        const RankedBitmask rb(b);
+        const auto want = referenceMatches(a, b, 0, a.size());
+        std::vector<std::size_t> got;
+        forEachMatch(a, rb, [&](std::size_t pos, std::size_t rank_b) {
+            EXPECT_EQ(rank_b, b.rank(pos)) << what;
+            got.push_back(pos);
+        });
+        EXPECT_EQ(got, want) << what;
+    };
+    check(randomMask(200, 0.6, 17), randomMask(200, 0.2, 23), "k=200");
+    Rng rng(7);
+    for (const std::size_t words : kScanWordCounts)
+        for (const double overlap : {0.9, 0.05, 0.0}) {
+            const auto [a, b] = wordOverlapMasks(words, overlap, rng);
+            check(a, b,
+                  "words=" + std::to_string(words) +
+                      " overlap=" + std::to_string(overlap));
+        }
 }
 
 TEST(ForEachMatch, AllOnesBothSides)
@@ -140,6 +172,13 @@ TEST(Bitmask, AndPopcountMatchesMaterializedAnd)
         const Bitmask b = randomMask(k, 0.5, k + 13);
         EXPECT_EQ(a.andPopcount(b), (a & b).popcount());
     }
+    Rng rng(7);
+    for (const std::size_t words : kScanWordCounts)
+        for (const double overlap : {0.9, 0.05, 0.0}) {
+            const auto [a, b] = wordOverlapMasks(words, overlap, rng);
+            EXPECT_EQ(a.andPopcount(b), (a & b).popcount())
+                << "words=" << words << " overlap=" << overlap;
+        }
 }
 
 } // namespace

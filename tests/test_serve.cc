@@ -218,6 +218,32 @@ TEST(Serve, OversizedBatchIsRejectedAndTheDaemonKeepsServing)
     EXPECT_EQ(next.getString("state", ""), "done");
 }
 
+TEST(Serve, TooFewTimestepsFailsTheJobNotTheDaemon)
+{
+    TestServer server;
+    ServeClient client(server.path());
+
+    // loas?t=4 cannot run a T=8 layer: the job fails with the design's
+    // message before anything compiles, and the daemon serves on.
+    const JsonValue bad = client.callJson(
+        "{\"cmd\": \"submit\", \"accel\": \"loas?t=4\", "
+        "\"network\": \"vgg16-l8?t=8\"}");
+    EXPECT_TRUE(bad.getBool("ok", false));
+    EXPECT_EQ(bad.getString("state", ""), "failed");
+    const std::string error = bad.getString("error", "");
+    EXPECT_NE(error.find("LoAS configured for 4 timesteps"),
+              std::string::npos)
+        << error;
+    EXPECT_NE(error.find("needs 8"), std::string::npos) << error;
+    EXPECT_EQ(server.cache.stats().misses, 0u);
+
+    const JsonValue next = client.callJson(
+        "{\"cmd\": \"submit\", \"accel\": \"loas\", "
+        "\"network\": \"alexnet-l4\"}");
+    ASSERT_TRUE(next.getBool("ok", false));
+    EXPECT_EQ(next.getString("state", ""), "done");
+}
+
 TEST(Serve, OversizedRequestLineGetsBadRequestAndClose)
 {
     TestServer server;

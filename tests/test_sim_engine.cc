@@ -219,17 +219,34 @@ t8Network()
 
 TEST(SimEngineSharing, TooFewTimestepsStillFailsBesideItsTwin)
 {
-    // On a T=8 layer, loas?t=4 must fail as it does alone; sharing
-    // must not map it onto the loas?t=8 cell's results.
-    SimRequest request;
-    request.accels = {"loas?t=4", "loas?t=8"};
-    request.networks = {t8Network()};
-    request.threads = 1;
-    EXPECT_EXIT(SimEngine().run(request), ::testing::ExitedWithCode(1),
-                "LoAS configured for 4 timesteps, layer '.*' needs 8");
-    request.accels = {"loas?t=8", "loas?t=4"};
-    EXPECT_EXIT(SimEngine().run(request), ::testing::ExitedWithCode(1),
-                "LoAS configured for 4 timesteps, layer '.*' needs 8");
+    // On a T=8 layer, loas?t=4 must be rejected as it is alone, before
+    // anything compiles; sharing must not map it onto the loas?t=8
+    // cell's results. A rejection is an exception, not an exit, so a
+    // daemon survives it.
+    const std::vector<std::vector<std::string>> orders = {
+        {"loas?t=4", "loas?t=8"}, {"loas?t=8", "loas?t=4"}};
+    for (const auto& accels : orders) {
+        CompiledCache cache;
+        SimRequest request;
+        request.accels = accels;
+        request.networks = {t8Network()};
+        request.threads = 1;
+        request.compiled_cache = &cache;
+        EXPECT_THROW(
+            {
+                try {
+                    SimEngine().run(request);
+                } catch (const std::invalid_argument& e) {
+                    EXPECT_STREQ(e.what(), "LoAS configured for 4 "
+                                           "timesteps, layer 'A-L4' "
+                                           "needs 8");
+                    throw;
+                }
+            },
+            std::invalid_argument)
+            << accels[0];
+        EXPECT_EQ(cache.stats().misses, 0u) << accels[0];
+    }
 }
 
 /** Join, replay and execute calls made by replay-probe instances. */

@@ -166,8 +166,8 @@ usage(const char* argv0)
         "                    write cache counters as JSON (\"-\": stdout)\n"
         "\n"
         "simd (list/run/sweep/bench/serve):\n"
-        "  --isa NAME      force the join-kernel ISA: scalar, avx2 or\n"
-        "                  avx512 (default: best the host supports;\n"
+        "  --isa NAME      force the fused-join ISA: scalar or avx2\n"
+        "                  (default: best the host supports;\n"
         "                  $LOAS_ISA configures any command)\n"
         "\n"
         "fault injection (run/sweep/bench/serve/request):\n"
@@ -286,7 +286,7 @@ class ArgCursor
 };
 
 /**
- * --isa NAME: pin the join-kernel ISA for this process (overrides the
+ * --isa NAME: pin the fused-join ISA for this process (overrides the
  * cpuid pick and $LOAS_ISA). Unknown names are rejected here;
  * unsupported-on-this-host names are rejected by setIsa().
  */
@@ -300,7 +300,7 @@ handleIsaFlag(const std::string& arg, ArgCursor& args)
     if (!kernels::parseIsa(name, &isa))
         throw std::invalid_argument(
             "--isa value '" + name +
-            "' unknown (want scalar, avx2 or avx512)");
+            "' unknown (want scalar or avx2)");
     kernels::setIsa(isa);
     return true;
 }
@@ -865,11 +865,12 @@ runKernelBench(bool quick, std::uint64_t seed,
     metrics.emplace_back("join_fused_speedup_t8", seq_s / fused_s);
 
     // --- Per-ISA join throughput (loas-kernels/3): the same workloads
-    // forced through the scalar kernel table, so bench history tracks
-    // what the SIMD dispatch buys. simd_speedup is informational in
-    // bench_compare — it reflects the runner's ISA, not a code
-    // regression by itself — and is ~1.0 when the dispatch already
-    // resolved to scalar.
+    // forced to the scalar ISA, so bench history tracks what the AVX2
+    // fused kernels buy. The LoAS join has no vector path, so its
+    // scalar row times the same scan again. simd_speedup is
+    // informational in bench_compare — it reflects the runner's ISA,
+    // not a code regression by itself — and is ~1.0 when the ISA
+    // already resolved to scalar.
     const kernels::Isa bench_isa = kernels::resolvedIsa();
     const std::int32_t fused_sum0 = sums8[0];
     kernels::setIsa(kernels::Isa::Scalar);
@@ -887,7 +888,7 @@ runKernelBench(bool quick, std::uint64_t seed,
     kernels::setIsa(bench_isa);
     if (smatches != matches || sums8[0] != fused_sum0)
         throw std::runtime_error(
-            "scalar join disagrees with the dispatched join");
+            "scalar join disagrees with the resolved-ISA join");
     metrics.emplace_back("join_scalar_calls_per_s",
                          join_iters / sjoin_s);
     metrics.emplace_back("join_fused_t8_scalar_calls_per_s",
