@@ -95,8 +95,8 @@ class Accelerator
     /**
      * Phase 2 over one input of a batched compiled layer. `worker` is
      * ignored: an instance keeps one scratch and is driven by one
-     * thread at a time (the SimEngine gives each engine thread its
-     * own instances). The layer must come from this design's format
+     * thread at a time (the SimEngine gives each participant of a
+     * run its own instances). The layer must come from this design's format
      * family (fatal otherwise).
      */
     virtual RunResult executeInput(const CompiledLayer& compiled,

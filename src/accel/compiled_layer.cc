@@ -13,7 +13,7 @@ namespace {
  * Build `count` weight fibers with `build(i)` in one parallel pass —
  * each worker fills a disjoint, preallocated slot and immediately
  * derives its rank table (slot addresses are stable: the vector is
- * presized) — then attach the cumulative offsets. One thread fork per
+ * presized) — then attach the cumulative offsets. One pool group per
  * compiled operand, bit-identical at any thread count.
  */
 template <typename BuildFn>

@@ -151,6 +151,30 @@ SimEngine::run(const SimRequest& request) const
         local_cache.setByteBudget(request.cache_budget_bytes);
         local_cache.setDiskDir(request.cache_dir);
     }
+    // While the run lasts its networks' artifacts stay live; when it
+    // ends, however it ends, the networks no other run still uses move
+    // to the evict-first pool of a persistent cache, so the next run's
+    // compilations push them out before anything still live.
+    struct NetworkUse
+    {
+        CompiledCache& cache;
+        const std::vector<NetworkSpec>& networks;
+        NetworkUse(CompiledCache& c, const std::vector<NetworkSpec>& n)
+            : cache(c), networks(n)
+        {
+            for (const auto& net : networks)
+                cache.beginNetwork(net.name);
+        }
+        ~NetworkUse()
+        {
+            for (const auto& net : networks)
+                cache.finishNetwork(net.name);
+        }
+        NetworkUse(const NetworkUse&) = delete;
+        NetworkUse& operator=(const NetworkUse&) = delete;
+    };
+    const NetworkUse network_use(*cache, request.networks);
+
     // This run's own cache counters, attributed exactly under the
     // cache mutex — not a before/after snapshot subtraction, so the
     // tally stays correct when concurrent runs share the cache.
@@ -294,9 +318,11 @@ SimEngine::run(const SimRequest& request) const
     for (std::size_t j = 0; j < join_slots.size(); ++j)
         join_slots[j].pending = group_members[j];
 
-    // Each worker thread drives one accelerator instance at a time and
-    // replaces it when its next task is another design (an instance
-    // per design and thread measured no faster, with more memory).
+    // Each participant of the run's pool group drives one accelerator
+    // instance at a time and replaces it when its next task is another
+    // design (an instance per design and participant measured no
+    // faster, with more memory). Instances belong to this run, never
+    // to a pool thread, so concurrent runs share no scratch.
     struct WorkerInstance
     {
         std::size_t accel = 0;
@@ -416,12 +442,6 @@ SimEngine::run(const SimRequest& request) const
     if (request.energy)
         for (auto& run : report.runs)
             run.energy = energy_model.evaluate(run.result);
-
-    // The run is over: its networks' artifacts move to the evict-first
-    // pool of a persistent cache, so the next run's compilations push
-    // them out before anything still live.
-    for (const auto& net : request.networks)
-        cache->finishNetwork(net.name);
 
     report.compile_cache = attributed;
     const CompiledCache::Stats occupancy = cache->stats();

@@ -3,7 +3,8 @@
  * Batched, multi-threaded simulation engine. A SimRequest names a job
  * matrix — accelerator spec strings x network specs — and the engine
  * splits it into one flat list of independent tasks, one per
- * (cell, layer, input), run across its threads, returning a SimReport
+ * (cell, layer, input), run as one group on the process-wide task pool
+ * (common/parallel.hh), returning a SimReport
  * of RunResult + EnergyBreakdown rows per (accelerator, network) cell.
  *
  * Workload generation (the expensive synthesis of calibrated spike and
@@ -84,8 +85,9 @@ struct SimRequest
     EnergyParams energy_params;
 
     /**
-     * Worker threads: 1 = serial in the calling thread, 0 = one per
-     * hardware thread (capped by the task count).
+     * Tasks at once: the width of the run's group on the task pool.
+     * 1 = serial in the calling thread, 0 = one per hardware thread
+     * (capped by the task count).
      */
     int threads = 0;
 

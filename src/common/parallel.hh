@@ -1,34 +1,124 @@
 /**
  * @file
- * Shared fork-join helpers. The SimEngine spends host threads at one
- * task level: a flat list of (cell, layer, input) tasks, each of which
- * compiles or fetches its layer and executes one input of it serially.
- * The prepare()-phase compilers also split per-fiber compression,
- * which is embarrassingly parallel. Every job writes a disjoint,
- * preallocated slot, so results are bit-identical whatever the thread
- * count.
+ * One persistent, process-wide task pool and the fork-join loops on it.
+ *
+ * Every parallel loop of the program is a *task group* on one pool:
+ * the SimEngine's flat (cell, layer, input) task list, the prepare()
+ * compilers' per-fiber compression, and the CLI's warm-up and bench
+ * loops. A group has a width cap; its calling thread is always one of
+ * its participants, and idle pool threads join the unfinished group
+ * that has the fewest participants (the oldest on a tie) until it
+ * reaches its cap. So concurrent engine runs, as the serve daemon's
+ * queue workers issue them, share the host's cores: one run's uneven
+ * tail is filled by another run's tasks instead of leaving cores idle,
+ * and nothing is oversubscribed beyond the pool plus the callers.
+ *
+ * A participant stays in its group until the group's tasks are all
+ * claimed. A task that issues a nested loop (a compile inside an
+ * engine task) works on its own nested group as that group's caller,
+ * so nesting cannot deadlock and a group completes even when no pool
+ * thread is free. Every task writes a disjoint, preallocated slot, so
+ * results are bit-identical whatever the width and the interleaving.
+ *
+ * The pool holds max(cores, widest width requested so far) threads,
+ * started on the first parallel loop and never stopped: it lives for
+ * the process, so exit() from any thread (fatal()) and fork-based death
+ * tests never wait on a busy or absent pool thread.
  */
 
 #pragma once
 
 #include <algorithm>
 #include <atomic>
+#include <condition_variable>
+#include <cstddef>
 #include <exception>
 #include <mutex>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 namespace loas {
 
+/** The process-wide pool every parallel loop runs its groups on. */
+class TaskPool
+{
+  public:
+    static TaskPool& instance();
+
+    /**
+     * Run `jobs` calls of `body(participant, job)` as one group of at
+     * most `width` participants, the calling thread among them;
+     * returns when every job has finished. `participant` is a stable
+     * identity in [0, min(width, jobs)); the job->participant
+     * assignment is nondeterministic, so callers write results into
+     * per-JOB slots and use the participant only for scratch reuse.
+     * The first exception a job throws is rethrown here once the
+     * group drains; jobs not yet started by then are skipped.
+     */
+    template <typename Body>
+    void
+    run(std::size_t jobs, int width, Body&& body)
+    {
+        Group group;
+        group.invoke = [](void* b, std::size_t participant,
+                          std::size_t job) {
+            (*static_cast<std::remove_reference_t<Body>*>(b))(
+                participant, job);
+        };
+        group.body = &body;
+        group.jobs = jobs;
+        group.width = std::min<std::size_t>(
+            static_cast<std::size_t>(std::max(width, 1)), jobs);
+        runGroup(group);
+    }
+
+    /** Pool threads started so far (callers not counted). */
+    std::size_t threads() const;
+
+    TaskPool(const TaskPool&) = delete;
+    TaskPool& operator=(const TaskPool&) = delete;
+
+  private:
+    TaskPool() = default;
+    ~TaskPool() = delete;  // never destroyed, see the file comment
+
+    struct Group
+    {
+        void (*invoke)(void* body, std::size_t participant,
+                       std::size_t job) = nullptr;
+        void* body = nullptr;
+        std::size_t jobs = 0;
+        std::size_t width = 1;
+        std::atomic<std::size_t> next{0};
+        std::atomic<bool> failed{false};
+
+        // Guarded by TaskPool::mutex_.
+        std::exception_ptr error;
+        std::size_t joined = 0;  // participant ids handed out
+        std::size_t active = 0;  // participants still working
+        bool open = false;       // in open_, accepting participants
+        std::condition_variable drained;  // active reached 0
+    };
+
+    void runGroup(Group& group);
+    /** Claim and run jobs until none is left. */
+    void work(Group& group, std::size_t participant);
+    void threadLoop();
+    /** The open group an idle thread joins, or null. Holds mutex_. */
+    Group* pickLocked();
+    void closeLocked(Group& group);
+
+    mutable std::mutex mutex_;
+    std::condition_variable idle_;  // pool threads: a group opened
+    std::vector<Group*> open_;      // oldest first
+    std::vector<std::thread> threads_;
+};
+
 /**
- * Run `jobs` instances of `body(worker, job)` across `threads`
- * workers. `worker` is a stable identity in [0, workers) where
- * `workers = min(threads, jobs)` (or 0 when the loop runs serially).
- * Jobs are pulled off one atomic counter, so the job->worker
- * assignment is nondeterministic — callers must write results into
- * per-JOB slots and use the worker index only for scratch reuse.
- * Exceptions escaping a job are rethrown in the caller (first one
- * wins); remaining jobs still drain so the workers join cleanly.
+ * Run `jobs` instances of `body(worker, job)` as one pool group of
+ * width `threads` (see TaskPool::run). Width 1 or a single job runs
+ * serially in the caller with worker 0.
  */
 template <typename Body>
 void
@@ -39,40 +129,7 @@ parallelForWorkers(std::size_t jobs, int threads, Body&& body)
             body(std::size_t{0}, i);
         return;
     }
-
-    std::atomic<std::size_t> next{0};
-    std::atomic<bool> failed{false};
-    std::exception_ptr error;
-    std::mutex error_mutex;
-
-    auto worker = [&](std::size_t w) {
-        while (true) {
-            const std::size_t i = next.fetch_add(1);
-            if (i >= jobs)
-                return;
-            if (failed.load())
-                continue; // drain without doing more work
-            try {
-                body(w, i);
-            } catch (...) {
-                const std::lock_guard<std::mutex> lock(error_mutex);
-                if (!error)
-                    error = std::current_exception();
-                failed.store(true);
-            }
-        }
-    };
-
-    const std::size_t n_workers =
-        std::min<std::size_t>(static_cast<std::size_t>(threads), jobs);
-    std::vector<std::thread> pool;
-    pool.reserve(n_workers);
-    for (std::size_t w = 0; w < n_workers; ++w)
-        pool.emplace_back(worker, w);
-    for (auto& t : pool)
-        t.join();
-    if (error)
-        std::rethrow_exception(error);
+    TaskPool::instance().run(jobs, threads, body);
 }
 
 /** parallelForWorkers for bodies that need no worker identity:
@@ -96,13 +153,11 @@ resolveThreads(int requested)
 }
 
 /**
- * Threads worth spawning for `jobs` per-fiber compression tasks inside
- * one prepare() call. Small layers stay serial — thread startup would
- * dwarf the work — and large ones fan out with enough fibers per worker
- * to amortize it. prepare() may itself be running on an engine worker
- * thread; the CompiledCache compiles each key exactly once, so the
- * transient oversubscription is bounded by the number of distinct
- * format families compiling at that instant.
+ * Width of the group for `jobs` per-fiber compression tasks inside one
+ * prepare() call. Small layers stay serial — handing them to the pool
+ * would cost more than the work — and large ones fan out with enough
+ * fibers per participant to amortize it. prepare() usually runs inside
+ * an engine task: its group then takes only pool threads that are idle.
  */
 inline int
 prepareParallelism(std::size_t jobs)

@@ -4,6 +4,7 @@
 #include <chrono>
 
 #include "api/json.hh"
+#include "common/parallel.hh"
 
 namespace loas {
 namespace serve {
@@ -47,10 +48,18 @@ JobQueue::isTerminal(State state)
     return state != State::Queued && state != State::Running;
 }
 
+int
+JobQueue::resolveWorkers(const Config& config)
+{
+    if (config.workers > 0)
+        return config.workers;
+    return std::max(2, resolveThreads(config.engine_threads) * 3 / 4);
+}
+
 JobQueue::JobQueue(Config config, CompiledCache* cache, Runner runner)
     : config_(config), cache_(cache), runner_(std::move(runner))
 {
-    const int workers = std::max(1, config_.workers);
+    const int workers = resolveWorkers(config_);
     workers_.reserve(static_cast<std::size_t>(workers));
     for (int i = 0; i < workers; ++i)
         workers_.emplace_back([this] { workerLoop(); });

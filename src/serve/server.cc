@@ -420,7 +420,7 @@ Server::handleStats()
            json::quote(kernels::isaName(kernels::resolvedIsa()));
     out += ", \"workers\": {";
     out += "\"queue\": " + json::num(static_cast<std::uint64_t>(
-                               std::max(1, queue_config_.workers)));
+                               JobQueue::resolveWorkers(queue_config_)));
     out += ", \"engine_threads\": " +
            json::num(static_cast<std::uint64_t>(
                resolveThreads(queue_config_.engine_threads)));

@@ -314,10 +314,25 @@ CompiledCache::setDiskBreaker(std::uint64_t threshold,
 }
 
 void
+CompiledCache::beginNetwork(const std::string& network)
+{
+    const std::lock_guard<std::mutex> lock(mutex_);
+    ++network_runs_[network];
+}
+
+void
 CompiledCache::finishNetwork(const std::string& network)
 {
     const std::string prefix = network + "#";
     const std::lock_guard<std::mutex> lock(mutex_);
+    // Another run still fetches this network's layers: they stay live
+    // until the last one finishes.
+    if (const auto it = network_runs_.find(network);
+        it != network_runs_.end()) {
+        if (--it->second > 0)
+            return;
+        network_runs_.erase(it);
+    }
     // Walk MRU to LRU, gathering matches in their recency order, then
     // splice them in front of every earlier-finished network: the
     // finished list's back is the oldest and is evicted first. Splice

@@ -173,12 +173,16 @@ class CompiledCache
      */
     void setDiskBreaker(std::uint64_t threshold, double cooldown_ms);
 
+    /** Count one more run using `network`; finishNetwork() ends it. */
+    void beginNetwork(const std::string& network);
+
     /**
-     * Demote every resident entry of `network` to evict-first status.
-     * Engines call this when a run retires a network; the entries stay
-     * served until the byte budget actually needs their space, and
-     * networks that finished earlier are evicted before them. A later
-     * hit promotes an entry back to the live pool.
+     * End one run's use of `network`. When no other run still uses it
+     * (beginNetwork() counts them), demote every resident entry of
+     * `network` to evict-first status: the entries stay served until
+     * the byte budget actually needs their space, and networks that
+     * finished earlier are evicted before them. A later hit promotes
+     * an entry back to the live pool.
      */
     void finishNetwork(const std::string& network);
 
@@ -226,6 +230,8 @@ class CompiledCache
     std::list<std::string> live_lru_;
     /** Finished-network keys, evicted before anything in live_lru_. */
     std::list<std::string> finished_lru_;
+    /** Runs between beginNetwork() and finishNetwork(), per network. */
+    std::unordered_map<std::string, std::size_t> network_runs_;
     std::uint64_t budget_ = 0;
     std::shared_ptr<const ArtifactStore> disk_;
     Stats stats_;

@@ -200,6 +200,54 @@ TEST(CompiledCacheEviction, OlderFinishedNetworkIsEvictedFirst)
     EXPECT_EQ(compiles, 1); // A's least recently used entry went
 }
 
+TEST(CompiledCacheEviction, SharedNetworkStaysLiveUntilItsLastRunFinishes)
+{
+    // Two overlapping runs use netA; netB is a short run that begins
+    // and finishes after the first netA run has finished. NetA's
+    // layers are still live for the second run, so budget pressure
+    // evicts the finished netB before any of them.
+    CompiledCache cache;
+    cache.setByteBudget(200);
+    cache.beginNetwork("netA");
+    cache.beginNetwork("netA");
+    cache.getOrCompile("netA#l0", [] { return stubLayer(50); });
+    cache.getOrCompile("netA#l1", [] { return stubLayer(50); });
+    cache.finishNetwork("netA");  // the first run is over
+
+    cache.beginNetwork("netB");
+    cache.getOrCompile("netB#l0", [] { return stubLayer(50); });
+    cache.finishNetwork("netB");
+
+    cache.beginNetwork("netC");
+    cache.getOrCompile("netC#l0", [] { return stubLayer(50); });
+    cache.getOrCompile("netC#l1", [] { return stubLayer(50); });
+    EXPECT_EQ(cache.stats().evictions, 1u);
+
+    int compiles = 0;
+    const auto count = [&] {
+        ++compiles;
+        return stubLayer(50);
+    };
+    cache.setByteBudget(0);
+    for (const char* key : {"netA#l0", "netA#l1", "netC#l0", "netC#l1"})
+        cache.getOrCompile(key, count);
+    EXPECT_EQ(compiles, 0);  // the second netA run's layers survived
+    cache.getOrCompile("netB#l0", count);
+    EXPECT_EQ(compiles, 1);  // the finished network was the victim
+
+    // Once the last netA run finishes, netA is evict-first too.
+    cache.finishNetwork("netA");
+    cache.finishNetwork("netC");
+    cache.setByteBudget(100);
+    cache.getOrCompile("netD#l0", [] { return stubLayer(50); });
+    cache.setByteBudget(0);
+    compiles = 0;
+    cache.getOrCompile("netD#l0", count);
+    EXPECT_EQ(compiles, 0);
+    cache.getOrCompile("netA#l0", count);
+    EXPECT_EQ(compiles, 1);
+}
+
 TEST(CompiledCacheEviction, HitPromotesFinishedEntryBackToLive)
 {
     CompiledCache cache;

@@ -441,6 +441,118 @@ TEST(Serve, ConcurrentIdenticalClientsShareOneCompile)
     EXPECT_EQ(server.cache.stats().misses, 1u);
 }
 
+/** Submit without waiting; returns the job id. */
+std::uint64_t
+submitAsync(ServeClient& client, const std::string& accel,
+            const std::string& network, std::uint64_t seed)
+{
+    const JsonValue reply = client.callJson(
+        "{\"cmd\": \"submit\", \"accel\": " + json::quote(accel) +
+        ", \"network\": " + json::quote(network) +
+        ", \"seed\": " + std::to_string(seed) + ", \"wait\": false}");
+    EXPECT_TRUE(reply.getBool("ok", false));
+    return static_cast<std::uint64_t>(reply.getNumber("id", 0));
+}
+
+JsonValue
+pollJob(ServeClient& client, std::uint64_t id)
+{
+    return client.callJson("{\"cmd\": \"poll\", \"id\": " +
+                           std::to_string(id) + "}");
+}
+
+bool
+live(const std::string& state)
+{
+    return state == "queued" || state == "running";
+}
+
+/** Poll until both jobs run at once; false if either ends first. */
+bool
+waitBothRunning(ServeClient& client, std::uint64_t a, std::uint64_t b)
+{
+    while (true) {
+        const std::string sa = pollJob(client, a).getString("state", "");
+        const std::string sb = pollJob(client, b).getString("state", "");
+        if (sa == "running" && sb == "running")
+            return true;
+        if (!live(sa) || !live(sb))
+            return false;
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+}
+
+/** Poll until the job is terminal; returns its last reply. */
+JsonValue
+pollUntilTerminal(ServeClient& client, std::uint64_t id)
+{
+    while (true) {
+        JsonValue reply = pollJob(client, id);
+        if (!live(reply.getString("state", "")))
+            return reply;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+}
+
+/** The `run --json` document of one design on one network. */
+std::string
+soloReport(const std::string& accel, const std::string& network,
+           std::uint64_t seed)
+{
+    RunSpec spec;
+    spec.accels = {accel};
+    spec.networks = {network};
+    spec.seed = seed;
+    return json::toJson(SimEngine().run(toSimRequest(spec)));
+}
+
+TEST(Serve, ConcurrentJobsOnOneNetworkReturnTheirSoloBytes)
+{
+    // The default queue runs several jobs at once; coalescing is off
+    // so the two designs stay two engine runs that overlap.
+    JobQueue::Config config;
+    config.coalesce = false;
+    ASSERT_GE(JobQueue::resolveWorkers(config), 2);
+    TestServer server(config);
+    ServeClient client(server.path());
+
+    const std::uint64_t loas = submitAsync(client, "loas", "vgg16", 21);
+    const std::uint64_t gamma =
+        submitAsync(client, "gamma", "vgg16", 21);
+    EXPECT_TRUE(waitBothRunning(client, loas, gamma));
+    const JsonValue loas_reply = pollUntilTerminal(client, loas);
+    const JsonValue gamma_reply = pollUntilTerminal(client, gamma);
+    ASSERT_EQ(loas_reply.getString("state", ""), "done");
+    ASSERT_EQ(gamma_reply.getString("state", ""), "done");
+    EXPECT_EQ(loas_reply.get("report")->string,
+              soloReport("loas", "vgg16", 21));
+    EXPECT_EQ(gamma_reply.get("report")->string,
+              soloReport("gamma", "vgg16", 21));
+}
+
+TEST(Serve, CancellingOneConcurrentJobLeavesTheOtherDone)
+{
+    JobQueue::Config config;
+    config.coalesce = false;
+    TestServer server(config);
+    ServeClient client(server.path());
+
+    const std::uint64_t loas = submitAsync(client, "loas", "vgg16", 22);
+    const std::uint64_t gamma =
+        submitAsync(client, "gamma", "vgg16", 22);
+    EXPECT_TRUE(waitBothRunning(client, loas, gamma));
+    const JsonValue cancelled = client.callJson(
+        "{\"cmd\": \"cancel\", \"id\": " + std::to_string(loas) + "}");
+    EXPECT_TRUE(cancelled.getBool("cancelled", false));
+
+    const JsonValue gamma_reply = pollUntilTerminal(client, gamma);
+    ASSERT_EQ(gamma_reply.getString("state", ""), "done");
+    EXPECT_EQ(gamma_reply.get("report")->string,
+              soloReport("gamma", "vgg16", 22));
+    EXPECT_EQ(pollUntilTerminal(client, loas).getString("state", ""),
+              "cancelled");
+}
+
 /** Tests below arm the process-global fault registry; disarm after. */
 struct FaultGuard
 {

@@ -6,6 +6,8 @@
 #include <filesystem>
 #include <memory>
 #include <stdexcept>
+#include <string>
+#include <thread>
 
 #include "api/accel_spec.hh"
 #include "api/json.hh"
@@ -73,6 +75,43 @@ TEST(SimEngine, MultiThreadedRunIsBitIdenticalToSerial)
         SCOPED_TRACE(serial.runs[i].accel_spec + " / " +
                      serial.runs[i].network);
         EXPECT_TRUE(identicalRuns(serial.runs[i], threaded.runs[i]));
+    }
+}
+
+TEST(SimEngine, ConcurrentRunsOnOneSharedCacheMatchTheirSerialRuns)
+{
+    // Two different designs on one network, run from two threads at
+    // once on one shared cache: their task groups share the pool and
+    // the network's lifetime in the cache, and each report is still
+    // byte-equal to its own serial run on a private cache.
+    const auto request_for = [](const char* accel) {
+        SimRequest request;
+        request.accels = {accel, std::string(accel) + "?pes=8"};
+        request.networks = {NetworkSpec{
+            "net", {tables::alexnetL4(), tables::vgg16L8()}}};
+        request.seed = 9;
+        request.batch = 2;
+        return request;
+    };
+    SimRequest loas = request_for("loas");
+    SimRequest gamma = request_for("gamma");
+    loas.threads = gamma.threads = 1;
+    const std::string loas_serial = json::toJson(SimEngine().run(loas));
+    const std::string gamma_serial =
+        json::toJson(SimEngine().run(gamma));
+
+    CompiledCache shared;
+    shared.setByteBudget(1);  // every finished layer is evictable
+    loas.compiled_cache = gamma.compiled_cache = &shared;
+    loas.threads = gamma.threads = 4;
+    for (int round = 0; round < 3; ++round) {
+        std::string loas_json, gamma_json;
+        std::thread other(
+            [&] { gamma_json = json::toJson(SimEngine().run(gamma)); });
+        loas_json = json::toJson(SimEngine().run(loas));
+        other.join();
+        EXPECT_EQ(loas_json, loas_serial);
+        EXPECT_EQ(gamma_json, gamma_serial);
     }
 }
 
