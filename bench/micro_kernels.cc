@@ -76,9 +76,11 @@ BM_InnerJoinScratch(benchmark::State& state)
     const RankedBitmask ra(fa.mask), rb(fb.mask);
     const InnerJoinUnit unit(InnerJoinConfig{}, 4);
     JoinScratch scratch;
-    unit.join(fa, ra, fb, rb, scratch); // warm the scratch
+    const SpikeFiberView va = fiberView(fa, ra);
+    const WeightFiberView vb = fiberView(fb, rb);
+    unit.join(va, vb, scratch); // warm the scratch
     for (auto _ : state) {
-        const JoinResult& r = unit.join(fa, ra, fb, rb, scratch);
+        const JoinResult& r = unit.join(va, vb, scratch);
         benchmark::DoNotOptimize(r.matches);
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -173,7 +175,8 @@ BM_TemporalJoinFused(benchmark::State& state)
         static_cast<std::size_t>(timesteps), 0);
     for (auto _ : state) {
         const FusedJoinStats s =
-            fusedTemporalJoin(ops.fa, ra, fb, rb, timesteps,
+            fusedTemporalJoin(fiberView(ops.fa, ra), fiberView(fb, rb),
+                              timesteps,
                               /*collapse=*/false, sums.data());
         benchmark::DoNotOptimize(s.matches);
         benchmark::DoNotOptimize(sums.data());
@@ -204,7 +207,8 @@ BM_TemporalJoinCollapse(benchmark::State& state)
         static_cast<std::size_t>(timesteps), 0);
     for (auto _ : state) {
         const FusedJoinStats s =
-            fusedTemporalJoin(ops.fa, ra, fb, rb, timesteps,
+            fusedTemporalJoin(fiberView(ops.fa, ra), fiberView(fb, rb),
+                              timesteps,
                               /*collapse=*/true, sums.data(),
                               correction.data());
         benchmark::DoNotOptimize(s.matches);

@@ -1,8 +1,10 @@
 #include "accel/compiled_layer.hh"
 
+#include <algorithm>
+
 #include "common/bitutil.hh"
 #include "common/parallel.hh"
-#include "tensor/compress.hh"
+#include "tensor/ranked_bitmask.hh"
 #include "workload/generator.hh"
 
 namespace loas {
@@ -10,118 +12,137 @@ namespace loas {
 namespace {
 
 /**
- * Build `count` weight fibers with `build(i)` in one parallel pass —
- * each worker fills a disjoint, preallocated slot and immediately
- * derives its rank table (slot addresses are stable: the vector is
- * presized) — then attach the cumulative offsets. One pool group per
- * compiled operand, bit-identical at any thread count.
+ * Compile `fibers` fibers of `bits` positions, where value_at(i, p) is
+ * position p of fiber i (zero = not stored). Mask first, values
+ * second: one parallel pass writes each fiber's mask words, derive()
+ * turns their popcounts into value begins, and a second parallel pass
+ * writes each fiber's values into its own slice of the one values
+ * array. Every slot has one writer, so the set is bit-identical at any
+ * thread count.
  */
-template <typename BuildFn>
-CompiledWeightFibers
-buildWeightFibers(std::size_t count, BuildFn&& build)
+template <typename V, typename ValueAt>
+FlatFiberSet<V>
+buildFiberSet(std::size_t fibers, std::size_t bits,
+              std::uint32_t value_bits, ValueAt&& value_at)
 {
-    CompiledWeightFibers compiled;
-    compiled.fibers.resize(count);
-    compiled.ranked.resize(count);
-    parallelFor(count, prepareParallelism(count), [&](std::size_t i) {
-        compiled.fibers[i] = build(i);
-        compiled.ranked[i] = RankedBitmask(compiled.fibers[i].mask);
+    FlatFiberSet<V> set;
+    set.fibers = fibers;
+    set.bits = bits;
+    set.value_bits = value_bits;
+    const std::size_t wpf = set.wordsPerFiber();
+    const int width = prepareParallelism(fibers);
+    set.words.resize(fibers * wpf);
+    parallelFor(fibers, width, [&](std::size_t i) {
+        std::uint64_t* const out = set.words.data() + i * wpf;
+        for (std::size_t w = 0; w < wpf; ++w) {
+            const std::size_t base = w * Bitmask::kWordBits;
+            const std::size_t end =
+                std::min(bits, base + Bitmask::kWordBits);
+            std::uint64_t word = 0;
+            for (std::size_t p = base; p < end; ++p)
+                word |= static_cast<std::uint64_t>(value_at(i, p) != 0)
+                        << (p - base);
+            out[w] = word;
+        }
     });
-    compiled.meta_off = cumulativeOffsets(
-        compiled.fibers,
-        [](const WeightFiber& f) { return f.metadataBytes(); });
-    compiled.val_off = cumulativeOffsets(
-        compiled.fibers,
-        [](const WeightFiber& f) { return f.values.size(); });
-    return compiled;
+    std::size_t total = 0;
+    for (const std::uint64_t word : set.words)
+        total += static_cast<std::size_t>(popcount64(word));
+    set.values.resize(total);
+    if (!set.derive())
+        panic("compiled fiber set failed its own consistency check");
+    parallelFor(fibers, width, [&](std::size_t i) {
+        const std::uint64_t* const mask = set.words.data() + i * wpf;
+        V* out = set.values.data() + set.value_begin[i];
+        for (std::size_t w = 0; w < wpf; ++w)
+            for (std::uint64_t x = mask[w]; x != 0; x &= x - 1)
+                *out++ = static_cast<V>(value_at(
+                    i, w * Bitmask::kWordBits +
+                           static_cast<std::size_t>(lowestSetBit(x))));
+    });
+    return set;
 }
 
 } // namespace
 
-std::size_t
-CompiledWeightFibers::footprintBytes() const
+template <typename V>
+bool
+FlatFiberSet<V>::derive()
 {
-    std::size_t bytes =
-        (meta_off.size() + val_off.size()) * sizeof(std::uint64_t);
-    for (const auto& fiber : fibers)
-        bytes += fiber.storageBytes();
-    return bytes;
+    const std::size_t wpf = wordsPerFiber();
+    if (wpf != 0 ? words.size() / wpf != fibers || words.size() % wpf != 0
+                 : !words.empty())
+        return false;
+    const std::size_t tail = bits % Bitmask::kWordBits;
+    const std::uint64_t past_end =
+        tail != 0 ? ~lowMask64(static_cast<int>(tail)) : 0;
+    prefix.resize(fibers * (wpf + 1));
+    value_begin.resize(fibers + 1);
+    val_off.resize(fibers + 1);
+    value_begin[0] = 0;
+    val_off[0] = 0;
+    for (std::size_t i = 0; i < fibers; ++i) {
+        const std::uint64_t* const mask = words.data() + i * wpf;
+        if (wpf != 0 && (mask[wpf - 1] & past_end) != 0)
+            return false;
+        const std::uint64_t nnz =
+            rankWords(mask, wpf, prefix.data() + i * (wpf + 1));
+        value_begin[i + 1] = value_begin[i] + nnz;
+        val_off[i + 1] =
+            val_off[i] + ceilDiv<std::uint64_t>(nnz * value_bits, 8);
+    }
+    return value_begin[fibers] == values.size();
 }
 
-CompiledWeightFibers
+template <typename V>
+std::size_t
+FlatFiberSet<V>::footprintBytes() const
+{
+    return 2 * (fibers + 1) * sizeof(std::uint64_t) +
+           fibers * metadataBytes() + val_off.back();
+}
+
+template struct FlatFiberSet<std::int32_t>;
+template struct FlatFiberSet<TimeWord>;
+
+WeightFiberSet
 compileWeightColumns(const DenseMatrix<std::int8_t>& weights)
 {
-    return buildWeightFibers(weights.cols(), [&](std::size_t c) {
-        return compressWeightColumn(weights, c);
-    });
+    return buildFiberSet<std::int32_t>(
+        weights.cols(), weights.rows(), kWeightValueBits,
+        [&](std::size_t c, std::size_t r) { return weights(r, c); });
 }
 
-CompiledWeightFibers
+WeightFiberSet
 compileWeightRows(const DenseMatrix<std::int8_t>& weights)
 {
-    return buildWeightFibers(weights.rows(), [&](std::size_t r) {
-        return compressWeightRow(weights, r);
-    });
+    return buildFiberSet<std::int32_t>(
+        weights.rows(), weights.cols(), kWeightValueBits,
+        [&](std::size_t r, std::size_t c) { return weights(r, c); });
 }
 
-CompiledWeightFibers
-compileWeightFibers(std::vector<WeightFiber> fibers)
-{
-    auto* const raw = fibers.data();
-    return buildWeightFibers(fibers.size(), [raw](std::size_t i) {
-        return std::move(raw[i]);
-    });
-}
-
-std::size_t
-CompiledSpikeFibers::footprintBytes(int timesteps) const
-{
-    std::size_t bytes =
-        (meta_off.size() + val_off.size()) * sizeof(std::uint64_t);
-    for (const auto& fiber : fibers)
-        bytes += fiber.storageBytes(timesteps);
-    return bytes;
-}
-
-CompiledSpikeFibers
+SpikeFiberSet
 compileSpikeRows(const SpikeTensor& spikes)
 {
-    const int timesteps = spikes.timesteps();
-    CompiledSpikeFibers compiled;
-    compiled.fibers.resize(spikes.rows());
-    compiled.ranked.resize(spikes.rows());
-    // One parallel pass: compress the row, then derive its rank table
-    // in place (slot addresses are stable: the vectors are presized).
-    parallelFor(compiled.fibers.size(),
-                prepareParallelism(compiled.fibers.size()),
-                [&](std::size_t r) {
-                    compiled.fibers[r] = compressSpikeRow(spikes, r);
-                    compiled.ranked[r] =
-                        RankedBitmask(compiled.fibers[r].mask);
-                });
-    compiled.meta_off = cumulativeOffsets(
-        compiled.fibers,
-        [](const SpikeFiber& f) { return f.metadataBytes(); });
-    compiled.val_off = cumulativeOffsets(
-        compiled.fibers, [&](const SpikeFiber& f) {
-            return ceilDiv<std::size_t>(
-                f.values.size() * static_cast<std::size_t>(timesteps),
-                8);
-        });
-    return compiled;
+    return buildFiberSet<TimeWord>(
+        spikes.rows(), spikes.cols(),
+        static_cast<std::uint32_t>(spikes.timesteps()),
+        [&](std::size_t r, std::size_t c) { return spikes.word(r, c); });
 }
 
 std::vector<std::uint32_t>
-denseTimewordCounts(const CompiledSpikeFibers& compiled, int timesteps)
+denseTimewordCounts(const SpikeFiberSet& compiled, int timesteps)
 {
     const TimeWord all_ones =
         timesteps >= kMaxTimesteps
             ? ~TimeWord(0)
             : static_cast<TimeWord>((TimeWord(1) << timesteps) - 1);
-    std::vector<std::uint32_t> counts(compiled.fibers.size(), 0);
-    for (std::size_t i = 0; i < compiled.fibers.size(); ++i)
-        for (const TimeWord w : compiled.fibers[i].values)
-            counts[i] += (w & all_ones) == all_ones ? 1u : 0u;
+    std::vector<std::uint32_t> counts(compiled.fibers, 0);
+    for (std::size_t i = 0; i < compiled.fibers; ++i)
+        for (std::uint64_t v = compiled.value_begin[i];
+             v < compiled.value_begin[i + 1]; ++v)
+            counts[i] +=
+                (compiled.values[v] & all_ones) == all_ones ? 1u : 0u;
     return counts;
 }
 

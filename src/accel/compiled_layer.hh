@@ -23,9 +23,9 @@
 #include <vector>
 
 #include "common/logging.hh"
+#include "tensor/bitmask.hh"
 #include "tensor/dense_matrix.hh"
 #include "tensor/fiber.hh"
-#include "tensor/ranked_bitmask.hh"
 #include "tensor/spike_tensor.hh"
 #include "workload/layer_spec.hh"
 
@@ -84,83 +84,117 @@ artifactAs(const CompiledLayer& compiled, const std::string& family)
     return static_cast<const T&>(*compiled.artifact);
 }
 
-/** Cumulative byte offsets of per-fiber storage (offsets[0] = 0). */
-template <typename FiberVec, typename SizeFn>
-std::vector<std::uint64_t>
-cumulativeOffsets(const FiberVec& fibers, SizeFn&& size_of)
-{
-    std::vector<std::uint64_t> offsets(fibers.size() + 1, 0);
-    for (std::size_t i = 0; i < fibers.size(); ++i)
-        offsets[i + 1] = offsets[i] + size_of(fibers[i]);
-    return offsets;
-}
-
 /**
- * Weight fibers plus their cumulative metadata/value address offsets —
- * the compiled form of one B operand (columns for inner-product
- * designs, rows for the Gustavson baselines). `ranked[i]` is the O(1)
- * rank view of `fibers[i].mask`, built once here so every execute()
- * resolves value offsets in constant time.
+ * One compiled operand — every column of B, every row of A — in the
+ * FTP-friendly format (Fig. 8), stored as a few contiguous arrays: the
+ * contiguous memory access the compression exists for. Every fiber of
+ * a set has the same mask length, so fiber i's mask is
+ * words[i * wordsPerFiber(), (i + 1) * wordsPerFiber()) with no
+ * per-fiber index; its values are values[value_begin[i],
+ * value_begin[i + 1]).
  *
- * Move-only: the rank views point into `fibers`, which stays valid
- * under a move of the whole struct (the vector's storage transfers)
- * but not under a copy.
+ * `fibers`, `bits`, `value_bits`, `words` and `values` are the primary
+ * fields, the ones an artifact file stores. derive() rebuilds the rest
+ * from them: the per-fiber rank prefixes (wordsPerFiber() + 1 entries
+ * per fiber, so rank lookups are O(1) in every execute()), the value
+ * begins, and the modelled value byte offsets. Metadata offsets need
+ * no table: every fiber's metadata has the same size.
+ *
+ * A plain value type: views point into the arrays, so a copy or move
+ * only invalidates views of the source.
  */
-struct CompiledWeightFibers
+template <typename V>
+struct FlatFiberSet
 {
-    CompiledWeightFibers() = default;
-    CompiledWeightFibers(const CompiledWeightFibers&) = delete;
-    CompiledWeightFibers& operator=(const CompiledWeightFibers&) = delete;
-    CompiledWeightFibers(CompiledWeightFibers&&) = default;
-    CompiledWeightFibers& operator=(CompiledWeightFibers&&) = default;
+    std::size_t fibers = 0;        // number of fibers in the set
+    std::size_t bits = 0;          // mask length of every fiber
+    std::uint32_t value_bits = 0;  // modelled storage width of a value
+    std::vector<std::uint64_t> words;  // fibers * wordsPerFiber()
+    std::vector<V> values;             // every fiber's values, in order
 
-    std::vector<WeightFiber> fibers;
-    std::vector<RankedBitmask> ranked;    // fibers.size() entries
-    std::vector<std::uint64_t> meta_off;  // fibers.size() + 1 entries
-    std::vector<std::uint64_t> val_off;   // fibers.size() + 1 entries
+    std::vector<std::uint32_t> prefix;       // derived, see above
+    std::vector<std::uint64_t> value_begin;  // derived, fibers + 1
+    /** Derived, fibers + 1: modelled byte address of each fiber's
+     *  values, ceil(nnz * value_bits / 8) bytes per fiber. */
+    std::vector<std::uint64_t> val_off;
 
-    /** Approximate in-memory footprint of the compiled operand. */
+    std::size_t
+    wordsPerFiber() const
+    {
+        return (bits + Bitmask::kWordBits - 1) / Bitmask::kWordBits;
+    }
+
+    /** Stored values of fiber i. */
+    std::size_t
+    nnz(std::size_t i) const
+    {
+        return value_begin[i + 1] - value_begin[i];
+    }
+
+    /** Modelled metadata bytes of any one fiber: bitmask + pointer. */
+    std::size_t
+    metadataBytes() const
+    {
+        return (bits + 7) / 8 + SpikeFiber::kPointerBytes;
+    }
+
+    /** Modelled byte address of fiber i's metadata. */
+    std::uint64_t
+    metaOffset(std::size_t i) const
+    {
+        return static_cast<std::uint64_t>(i) * metadataBytes();
+    }
+
+    /** Fiber i as the view the join kernels read. */
+    FiberView<V>
+    view(std::size_t i) const
+    {
+        const std::size_t wpf = wordsPerFiber();
+        FiberView<V> v;
+        v.words = words.data() + i * wpf;
+        v.prefix = prefix.data() + i * (wpf + 1);
+        v.bits = bits;
+        v.values = values.data() + value_begin[i];
+        return v;
+    }
+
+    /**
+     * Rebuild the derived arrays from the primary fields. Returns
+     * false — leaving the set unusable — when they disagree: a words
+     * array of the wrong length, a set bit past `bits`, or a values
+     * array whose length is not the masks' total popcount.
+     */
+    bool derive();
+
+    /**
+     * Modelled storage the compiled operand occupies (cache
+     * accounting): every fiber's bitmask, pointer and packed values,
+     * plus two fibers + 1 entry offset tables.
+     */
     std::size_t footprintBytes() const;
 };
 
+/** Modelled bits of one stored weight (int8). */
+inline constexpr std::uint32_t kWeightValueBits = 8;
+
+/** B-side operands: int8 weights (widened), kWeightValueBits each. */
+using WeightFiberSet = FlatFiberSet<std::int32_t>;
+
+/** A-side operands: packed temporal words, T modelled bits each. */
+using SpikeFiberSet = FlatFiberSet<TimeWord>;
+
 /** Compile every column of B (inner-product dataflows). */
-CompiledWeightFibers
+WeightFiberSet
 compileWeightColumns(const DenseMatrix<std::int8_t>& weights);
 
-/** Compile every row of B (Gustavson dataflows). */
-CompiledWeightFibers
-compileWeightRows(const DenseMatrix<std::int8_t>& weights);
+/** Compile every row of a matrix (B for the Gustavson dataflows, the
+ *  SparTen ANN activations). */
+WeightFiberSet compileWeightRows(const DenseMatrix<std::int8_t>& weights);
 
-/** Wrap already-built fibers (the SparTen ANN activation operand). */
-CompiledWeightFibers compileWeightFibers(std::vector<WeightFiber> fibers);
-
-/**
- * Spike fibers plus their cumulative offsets — the compiled form of the
- * A operand under the FTP-friendly format. Value offsets are byte
- * addresses of the packed T-bit temporal words (per-row regions are
- * byte-aligned, values pack within a row, Fig. 8). `ranked[i]` is the
- * O(1) rank view of `fibers[i].mask`; move-only for the same reason as
- * CompiledWeightFibers.
- */
-struct CompiledSpikeFibers
-{
-    CompiledSpikeFibers() = default;
-    CompiledSpikeFibers(const CompiledSpikeFibers&) = delete;
-    CompiledSpikeFibers& operator=(const CompiledSpikeFibers&) = delete;
-    CompiledSpikeFibers(CompiledSpikeFibers&&) = default;
-    CompiledSpikeFibers& operator=(CompiledSpikeFibers&&) = default;
-
-    std::vector<SpikeFiber> fibers;
-    std::vector<RankedBitmask> ranked;    // fibers.size() entries
-    std::vector<std::uint64_t> meta_off;  // fibers.size() + 1 entries
-    std::vector<std::uint64_t> val_off;   // fibers.size() + 1 entries
-
-    /** Approximate in-memory footprint of the compiled operand. */
-    std::size_t footprintBytes(int timesteps) const;
-};
-
-/** Compile every row of A, packing values at the tensor's timestep width. */
-CompiledSpikeFibers compileSpikeRows(const SpikeTensor& spikes);
+/** Compile every row of A, packing values at the tensor's timestep
+ *  width (per-row value regions are byte-aligned, values pack within
+ *  a row, Fig. 8). */
+SpikeFiberSet compileSpikeRows(const SpikeTensor& spikes);
 
 /**
  * Per-fiber count of stored temporal words that are all ones across
@@ -169,7 +203,7 @@ CompiledSpikeFibers compileSpikeRows(const SpikeTensor& spikes);
  * picks a datapath per row in O(1).
  */
 std::vector<std::uint32_t>
-denseTimewordCounts(const CompiledSpikeFibers& compiled, int timesteps);
+denseTimewordCounts(const SpikeFiberSet& compiled, int timesteps);
 
 /**
  * Assemble a CompiledLayer around a family artifact: copies the spec,

@@ -28,8 +28,10 @@ inline constexpr char kBenchSchema[] = "loas-bench/6";
 /** loas_cli bench BENCH_kernels.json kernel microbench companion; /2
  *  added the fused temporally-parallel join metrics and the fused
  *  SparTen steady-state allocation gates, /3 the per-ISA scalar join
- *  metrics and the simd_speedup ratio. */
-inline constexpr char kKernelsSchema[] = "loas-kernels/3";
+ *  metrics and the simd_speedup ratio, /4 dropped
+ *  join_scalar_calls_per_s (the LoAS join has one scalar path, so the
+ *  row re-timed join_calls_per_s). */
+inline constexpr char kKernelsSchema[] = "loas-kernels/4";
 
 /** loas_cli list --json accelerator catalog; /2 added the resolved
  *  SIMD ISA and worker-pool sizing fields. */

@@ -79,7 +79,7 @@ GammaSim::prepare(const LayerData& layer) const
         std::vector<std::uint64_t> sizes(n_tasks, 0);
         parallelFor(m, prepareParallelism(m), [&](std::size_t r) {
             for (std::size_t c = 0; c < k; ++c) {
-                if (art->b.fibers[c].values.empty())
+                if (art->b.nnz(c) == 0)
                     continue;
                 TimeWord w = spikes.word(r, c);
                 while (w) {
@@ -97,7 +97,7 @@ GammaSim::prepare(const LayerData& layer) const
         parallelFor(m, prepareParallelism(m), [&](std::size_t r) {
             std::array<std::uint64_t, kMaxTimesteps> cursor{};
             for (std::size_t c = 0; c < k; ++c) {
-                if (art->b.fibers[c].values.empty())
+                if (art->b.nnz(c) == 0)
                     continue;
                 TimeWord w = spikes.word(r, c);
                 while (w) {
@@ -141,7 +141,7 @@ GammaSim::executeInput(const CompiledLayer& compiled, std::size_t input,
     const std::size_t k = compiled.k;
     const std::size_t n = compiled.n;
     const double weight_density = art.weight_density;
-    const auto& fibers_b = art.b.fibers;
+    const WeightFiberSet& b = art.b;
 
     ExecuteScratch& scratch = scratch_;
 
@@ -175,12 +175,10 @@ GammaSim::executeInput(const CompiledLayer& compiled, std::size_t input,
         if (!fetched[c]) {
             fetched[c] = true;
             ++distinct_rows;
-            mem.streamRead(TensorCategory::Meta,
-                           fibers_b[c].metadataBytes());
+            mem.streamRead(TensorCategory::Meta, b.metadataBytes());
             mem.streamRead(TensorCategory::Weight, nnz_b);
         }
-        mem.scratchRead(TensorCategory::Meta,
-                        fibers_b[c].metadataBytes());
+        mem.scratchRead(TensorCategory::Meta, b.metadataBytes());
         mem.scratchRead(TensorCategory::Weight, nnz_b);
         ++row_uses;
     };
@@ -196,7 +194,7 @@ GammaSim::executeInput(const CompiledLayer& compiled, std::size_t input,
             for (std::uint64_t i = task_ptr[task];
                  i < task_ptr[task + 1]; ++i) {
                 const std::size_t c = task_cols[i];
-                const std::size_t nnz_b = fibers_b[c].values.size();
+                const std::size_t nnz_b = b.nnz(c);
                 ++nnz_a;
                 updates += nnz_b;
                 fetch_row(c, nnz_b);
@@ -278,7 +276,7 @@ GammaSim::prepareAnn(const AnnLayerData& layer) const
             if (layer.acts(r, c) == 0)
                 continue;
             ++art->nnz_acts;
-            if (!art->b.fibers[c].values.empty())
+            if (art->b.nnz(c) != 0)
                 ++count;
         }
         art->ptr[r + 1] = art->ptr[r] + count;
@@ -288,7 +286,7 @@ GammaSim::prepareAnn(const AnnLayerData& layer) const
     for (std::size_t r = 0; r < m; ++r)
         for (std::size_t c = 0; c < k; ++c)
             if (layer.acts(r, c) != 0 &&
-                !art->b.fibers[c].values.empty())
+                art->b.nnz(c) != 0)
                 art->cols[cursor++] = static_cast<std::uint32_t>(c);
 
     CompiledLayer out;
@@ -314,7 +312,7 @@ GammaSim::executeAnn(const CompiledLayer& compiled)
     const std::size_t k = compiled.k;
     const std::size_t n = compiled.n;
     const double weight_density = art.weight_density;
-    const auto& fibers_b = art.b.fibers;
+    const WeightFiberSet& b = art.b;
 
     ExecuteScratch& scratch = scratch_;
     if (!scratch.mem)
@@ -344,12 +342,10 @@ GammaSim::executeAnn(const CompiledLayer& compiled)
         if (!fetched[c]) {
             fetched[c] = true;
             ++distinct_rows;
-            mem.streamRead(TensorCategory::Meta,
-                           fibers_b[c].metadataBytes());
+            mem.streamRead(TensorCategory::Meta, b.metadataBytes());
             mem.streamRead(TensorCategory::Weight, nnz_b);
         }
-        mem.scratchRead(TensorCategory::Meta,
-                        fibers_b[c].metadataBytes());
+        mem.scratchRead(TensorCategory::Meta, b.metadataBytes());
         mem.scratchRead(TensorCategory::Weight, nnz_b);
         ++row_uses;
     };
@@ -360,7 +356,7 @@ GammaSim::executeAnn(const CompiledLayer& compiled)
         std::uint64_t updates = 0;
         for (std::uint64_t i = art.ptr[r]; i < art.ptr[r + 1]; ++i) {
             const std::size_t c = art.cols[i];
-            const std::size_t nnz_b = fibers_b[c].values.size();
+            const std::size_t nnz_b = b.nnz(c);
             ++nnz_a;
             updates += nnz_b;
             fetch_row(c, nnz_b);

@@ -65,7 +65,7 @@ struct GammaConfig
  */
 struct GammaCompiled : CompiledArtifact
 {
-    CompiledWeightFibers b;  // rows of B (shared by the batch)
+    WeightFiberSet b;  // rows of B (shared by the batch)
     double weight_density = 0.0;
     std::vector<std::uint64_t> total_spikes;  // per input
     std::vector<std::vector<std::uint32_t>> cols;  // per input
@@ -82,7 +82,7 @@ struct GammaCompiled : CompiledArtifact
  */
 struct GammaAnnCompiled : CompiledArtifact
 {
-    CompiledWeightFibers b;  // rows of B
+    WeightFiberSet b;  // rows of B
     double weight_density = 0.0;
     std::uint64_t nnz_acts = 0;
     std::vector<std::uint32_t> cols;

@@ -87,9 +87,7 @@ GospaSim::executeInput(const CompiledLayer& compiled, std::size_t input,
     const std::size_t k = compiled.k;
     const std::size_t n = compiled.n;
 
-    const auto& fibers_b = art.b.fibers;
-    const auto& b_meta_off = art.b.meta_off;
-    const auto& b_val_off = art.b.val_off;
+    const WeightFiberSet& b = art.b;
 
     if (!mem_scratch_)
         mem_scratch_.emplace(config_.cache, config_.dram);
@@ -120,14 +118,14 @@ GospaSim::executeInput(const CompiledLayer& compiled, std::size_t input,
             const std::uint32_t spikes = col_spikes[ts * k + c];
             if (spikes == 0)
                 continue;
-            const std::size_t nnz_b = fibers_b[c].values.size();
+            const std::size_t nnz_b = b.nnz(c);
             if (nnz_b == 0)
                 continue;
             // Weight row through the shared cache (reused across
             // timesteps when capacity allows).
-            mem.read(TensorCategory::Meta, kBaseBMeta + b_meta_off[c],
-                     fibers_b[c].metadataBytes());
-            mem.read(TensorCategory::Weight, kBaseBValues + b_val_off[c],
+            mem.read(TensorCategory::Meta, kBaseBMeta + b.metaOffset(c),
+                     b.metadataBytes());
+            mem.read(TensorCategory::Weight, kBaseBValues + b.val_off[c],
                      nnz_b);
 
             // Each spike applies the full B row; the 16 accumulators

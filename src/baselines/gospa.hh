@@ -70,7 +70,7 @@ struct GospaConfig
  */
 struct GospaCompiled : CompiledArtifact
 {
-    CompiledWeightFibers b;  // rows of B (shared by the batch)
+    WeightFiberSet b;  // rows of B (shared by the batch)
     std::vector<std::vector<std::uint32_t>> col_spikes;  // per input
     std::vector<std::uint64_t> total_spikes;             // per input
 };

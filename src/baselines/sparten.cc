@@ -10,6 +10,7 @@
 #include "core/fused_join.hh"
 #include "core/scheduler.hh"
 #include "mem/memory_system.hh"
+#include "tensor/ranked_bitmask.hh"
 
 namespace loas {
 
@@ -49,25 +50,27 @@ SpartenSim::prepare(const LayerData& layer) const
     auto art = std::make_shared<SpartenCompiled>();
     art->b = compileWeightColumns(layer.weights);
 
-    // Per-timestep bitmask views of the spike rows, one set per batch
-    // input. Rows are independent (row r touches only the T slots
-    // t*m + r), so the construction parallelizes per row; each packed
-    // word scatters via one ctz per set spike bit.
-    art->row_masks.resize(layer.batchSize());
+    // Per-timestep bitmask views of the spike rows, one word array
+    // per batch input. Rows are independent (row r touches only the T
+    // masks t*m + r), so the construction parallelizes per row; each
+    // packed word scatters via one ctz per set spike bit.
+    const std::size_t row_words = ceilDiv(k, Bitmask::kWordBits);
+    art->row_words.resize(layer.batchSize());
     for (std::size_t b = 0; b < layer.batchSize(); ++b) {
         const SpikeTensor& spikes = layer.input(b);
-        auto& masks = art->row_masks[b];
-        masks.assign(static_cast<std::size_t>(timesteps) * m,
-                     Bitmask());
+        auto& words = art->row_words[b];
+        words.assign(static_cast<std::size_t>(timesteps) * m * row_words,
+                     0);
         parallelFor(m, prepareParallelism(m), [&](std::size_t r) {
-            for (int t = 0; t < timesteps; ++t)
-                masks[static_cast<std::size_t>(t) * m + r] = Bitmask(k);
             for (std::size_t c = 0; c < k; ++c) {
                 TimeWord w = spikes.word(r, c);
                 while (w) {
-                    const int t = lowestSetBit(w);
+                    const auto t =
+                        static_cast<std::size_t>(lowestSetBit(w));
                     w &= w - 1;
-                    masks[static_cast<std::size_t>(t) * m + r].set(c);
+                    words[(t * m + r) * row_words +
+                          c / Bitmask::kWordBits] |=
+                        std::uint64_t{1} << (c % Bitmask::kWordBits);
                 }
             }
         });
@@ -86,12 +89,13 @@ SpartenSim::prepare(const LayerData& layer) const
             denseTimewordCounts(art->packed.back(), timesteps));
     }
 
-    std::size_t bytes = art->b.footprintBytes();
-    for (const auto& masks : art->row_masks)
-        for (const auto& mask : masks)
-            bytes += mask.storageBytes();
+    // Each per-timestep row mask models ceil(K / 8) bytes.
+    std::size_t bytes = art->b.footprintBytes() +
+                        layer.batchSize() *
+                            static_cast<std::size_t>(timesteps) * m *
+                            ceilDiv<std::size_t>(k, 8);
     for (const auto& packed : art->packed)
-        bytes += packed.footprintBytes(timesteps);
+        bytes += packed.footprintBytes();
     for (const auto& counts : art->dense_nnz)
         bytes += counts.size() * sizeof(std::uint32_t);
     return makeCompiledLayer(layer, formatFamily(), std::move(art),
@@ -111,21 +115,18 @@ SpartenSim::executeInput(const CompiledLayer& compiled,
     }
     const auto& art =
         artifactAs<SpartenCompiled>(compiled, formatFamily());
-    if (input >= art.row_masks.size())
+    if (input >= art.row_words.size())
         fatal("layer '%s': input %zu of a %zu-input batch",
-              compiled.spec.name.c_str(), input, art.row_masks.size());
-    const std::vector<Bitmask>& row_masks = art.row_masks[input];
+              compiled.spec.name.c_str(), input, art.row_words.size());
+    const std::uint64_t* const row_words = art.row_words[input].data();
     const int timesteps = compiled.timesteps;
     const std::size_t m = compiled.m;
     const std::size_t k = compiled.k;
     const std::size_t n = compiled.n;
     const std::size_t chunks = ceilDiv(k, config_.chunk_bits);
     const std::size_t row_bytes = ceilDiv<std::size_t>(k, 8);
-
-    const auto& fibers_b = art.b.fibers;
-    const auto& ranked_b = art.b.ranked;
-    const auto& b_meta_off = art.b.meta_off;
-    const auto& b_val_off = art.b.val_off;
+    const std::size_t mask_words = ceilDiv(k, Bitmask::kWordBits);
+    const WeightFiberSet& b = art.b;
 
     ExecuteScratch& scratch = scratch_;
 
@@ -145,7 +146,7 @@ SpartenSim::executeInput(const CompiledLayer& compiled,
     scratch.sums.assign(static_cast<std::size_t>(timesteps), 0);
     scratch.correction.assign(static_cast<std::size_t>(timesteps), 0);
     std::vector<std::int32_t>& sums = scratch.sums;
-    const CompiledSpikeFibers& packed = art.packed[input];
+    const SpikeFiberSet& packed = art.packed[input];
     const std::vector<std::uint32_t>& dense_nnz = art.dense_nnz[input];
     std::uint64_t dram_bytes_seen = 0;
     for (std::size_t w = 0; w < scheduler.waveCount(); ++w) {
@@ -158,16 +159,15 @@ SpartenSim::executeInput(const CompiledLayer& compiled,
             if (item.n == prev_col)
                 continue;
             prev_col = item.n;
-            mem.read(TensorCategory::Meta, kBaseBMeta + b_meta_off[item.n],
-                     fibers_b[item.n].metadataBytes());
+            mem.read(TensorCategory::Meta,
+                     kBaseBMeta + b.metaOffset(item.n), b.metadataBytes());
             mem.read(TensorCategory::Weight,
-                     kBaseBValues + b_val_off[item.n],
-                     fibers_b[item.n].values.size());
+                     kBaseBValues + b.val_off[item.n], b.nnz(item.n));
         }
 
         std::uint64_t wave_cycles = 0;
         for (const auto& item : items) {
-            const WeightFiber& fb = fibers_b[item.n];
+            const WeightFiberView fb = b.view(item.n);
             std::uint64_t pe_cycles = 0;
             if (config_.fused) {
                 // Fused temporally-parallel join: the compressed row
@@ -176,10 +176,10 @@ SpartenSim::executeInput(const CompiledLayer& compiled,
                 // its weight out to all T accumulators — or collapses
                 // through the pseudo-accumulator when the row's train
                 // is dense in time.
-                const SpikeFiber& fa = packed.fibers[item.m];
+                const SpikeFiberView fa = packed.view(item.m);
                 mem.read(TensorCategory::Meta,
-                         kBaseAMeta + packed.meta_off[item.m],
-                         fa.metadataBytes());
+                         kBaseAMeta + packed.metaOffset(item.m),
+                         packed.metadataBytes());
                 const std::uint64_t value_bytes =
                     packed.val_off[item.m + 1] - packed.val_off[item.m];
                 if (value_bytes)
@@ -191,8 +191,7 @@ SpartenSim::executeInput(const CompiledLayer& compiled,
                     shouldCollapse(dense_nnz[item.m], fa.nnz(),
                                    config_.collapse_threshold);
                 const FusedJoinStats stats = fusedTemporalJoin(
-                    fa, packed.ranked[item.m], fb, ranked_b[item.n],
-                    timesteps, collapse, sums.data(),
+                    fa, fb, timesteps, collapse, sums.data(),
                     scratch.correction.data());
 
                 result.ops.mask_and_ops += chunks;
@@ -221,10 +220,11 @@ SpartenSim::executeInput(const CompiledLayer& compiled,
                     // the mask words directly, with the weight offset
                     // from the compiled rank table — no materialized
                     // AND mask.
-                    const Bitmask& ma = row_masks[ts * m + item.m];
+                    const std::uint64_t* const ma =
+                        row_words + (ts * m + item.m) * mask_words;
                     std::uint64_t matches = 0;
                     std::int32_t acc = 0;
-                    forEachMatch(ma, ranked_b[item.n],
+                    forEachMatch(ma, fb,
                                  [&](std::size_t, std::size_t b_off) {
                                      acc += fb.values[b_off];
                                      ++matches;
@@ -281,20 +281,8 @@ SpartenSim::prepareAnn(const AnnLayerData& layer) const
 
     // Both operands compressed as bitmask + int8 values, through the
     // same compiled-operand helpers the SNN prepare phase uses.
-    std::vector<WeightFiber> act_fibers;
-    act_fibers.reserve(m);
-    for (std::size_t r = 0; r < m; ++r) {
-        WeightFiber f;
-        f.mask = Bitmask(k);
-        for (std::size_t c = 0; c < k; ++c)
-            if (layer.acts(r, c) != 0) {
-                f.mask.set(c);
-                f.values.push_back(layer.acts(r, c));
-            }
-        act_fibers.push_back(std::move(f));
-    }
     auto art = std::make_shared<SpartenAnnCompiled>();
-    art->a = compileWeightFibers(std::move(act_fibers));
+    art->a = compileWeightRows(layer.acts);
     art->b = compileWeightColumns(layer.weights);
 
     CompiledLayer out;
@@ -319,12 +307,8 @@ SpartenSim::executeAnn(const CompiledLayer& compiled)
     const std::size_t n = compiled.n;
     const std::size_t chunks = ceilDiv(k, config_.chunk_bits);
 
-    const auto& fibers_a = art.a.fibers;
-    const auto& fibers_b = art.b.fibers;
-    const auto& a_meta_off = art.a.meta_off;
-    const auto& a_val_off = art.a.val_off;
-    const auto& b_meta_off = art.b.meta_off;
-    const auto& b_val_off = art.b.val_off;
+    const WeightFiberSet& a = art.a;
+    const WeightFiberSet& b = art.b;
 
     ExecuteScratch& scratch = scratch_;
     if (!scratch.mem)
@@ -347,22 +331,22 @@ SpartenSim::executeAnn(const CompiledLayer& compiled)
             if (item.n == prev_col)
                 continue;
             prev_col = item.n;
-            mem.read(TensorCategory::Meta, kBaseBMeta + b_meta_off[item.n],
-                     fibers_b[item.n].metadataBytes());
+            mem.read(TensorCategory::Meta,
+                     kBaseBMeta + b.metaOffset(item.n), b.metadataBytes());
             mem.read(TensorCategory::Weight,
-                     kBaseBValues + b_val_off[item.n],
-                     fibers_b[item.n].values.size());
+                     kBaseBValues + b.val_off[item.n], b.nnz(item.n));
         }
 
         std::uint64_t wave_cycles = 0;
         for (const auto& item : items) {
-            const WeightFiber& fa = fibers_a[item.m];
-            const WeightFiber& fb = fibers_b[item.n];
-            mem.read(TensorCategory::Meta, kBaseAMeta + a_meta_off[item.m],
-                     fa.metadataBytes());
-            const std::uint64_t matches = fa.mask.andPopcount(fb.mask);
+            mem.read(TensorCategory::Meta,
+                     kBaseAMeta + a.metaOffset(item.m), a.metadataBytes());
+            const std::size_t words = a.wordsPerFiber();
+            const std::uint64_t matches = andPopcountWords(
+                a.words.data() + item.m * words,
+                b.words.data() + item.n * words, words);
             // Matched activations fetched from the cache.
-            mem.read(TensorCategory::Input, kBaseA + a_val_off[item.m],
+            mem.read(TensorCategory::Input, kBaseA + a.val_off[item.m],
                      matches);
             result.ops.mask_and_ops += chunks;
             result.ops.fast_prefix_ops += 2 * matches; // both operands

@@ -99,8 +99,9 @@ struct SpartenConfig
 /**
  * Compiled SparTen-SNN operands: B in column-fiber form plus, per
  * batch input, both views of the A operand — the per-timestep bitmask
- * views the sequential-timestep datapath scans (timestep-major: mask
- * of row m at timestep t of input b is `row_masks[b][t * M + m]`) and
+ * views the sequential-timestep datapath scans (timestep-major: the
+ * mask of row m at timestep t of input b is the ceil(K / 64) words
+ * from `row_words[b][(t * M + m) * ceil(K / 64)]`) and
  * the temporally-packed spike fibers the fused datapath joins in one
  * pass, with the per-row dense-timeword counts its collapse policy
  * keys on. Artifacts depend only on layer data, so the fused=0/1
@@ -108,9 +109,9 @@ struct SpartenConfig
  */
 struct SpartenCompiled : CompiledArtifact
 {
-    CompiledWeightFibers b;  // columns of B (shared by the batch)
-    std::vector<std::vector<Bitmask>> row_masks;  // per input: T x M
-    std::vector<CompiledSpikeFibers> packed;      // per input: M fibers
+    WeightFiberSet b;  // columns of B (shared by the batch)
+    std::vector<std::vector<std::uint64_t>> row_words;  // per input: T x M
+    std::vector<SpikeFiberSet> packed;  // per input: M fibers
     /** Per input, per row: stored temporal words that are all ones. */
     std::vector<std::vector<std::uint32_t>> dense_nnz;
 };
@@ -123,8 +124,8 @@ struct SpartenCompiled : CompiledArtifact
  */
 struct SpartenAnnCompiled : CompiledArtifact
 {
-    CompiledWeightFibers a;  // rows of A (non-zero activations)
-    CompiledWeightFibers b;  // columns of B
+    WeightFiberSet a;  // rows of A (non-zero activations)
+    WeightFiberSet b;  // columns of B
 };
 
 /** SparTen running SNN workloads timestep-by-timestep. */

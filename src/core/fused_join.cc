@@ -5,6 +5,7 @@
 #include "common/bitutil.hh"
 #include "common/logging.hh"
 #include "core/kernel_dispatch.hh"
+#include "tensor/ranked_bitmask.hh"
 #include "tensor/spike_tensor.hh"
 
 #if defined(__x86_64__) && defined(__GNUC__)
@@ -23,13 +24,13 @@ constexpr int kAvx2MaxTimesteps = 8;
 
 /** Scalar fan-out: one add per firing timestep of each match. */
 std::uint64_t
-scalarFanoutJoin(const SpikeFiber& fiber_a, const RankedBitmask& rank_a,
-                 const WeightFiber& fiber_b, const RankedBitmask& rank_b,
-                 std::int32_t* sums, std::uint64_t* acc_ops)
+scalarFanoutJoin(const SpikeFiberView& fiber_a,
+                 const WeightFiberView& fiber_b, std::int32_t* sums,
+                 std::uint64_t* acc_ops)
 {
     std::uint64_t matches = 0;
     std::uint64_t accs = 0;
-    forEachMatch(rank_a, rank_b,
+    forEachMatch(fiber_a, fiber_b,
                  [&](std::size_t, std::size_t a_off, std::size_t b_off) {
                      const TimeWord tw = fiber_a.values[a_off];
                      const std::int32_t weight = fiber_b.values[b_off];
@@ -44,16 +45,16 @@ scalarFanoutJoin(const SpikeFiber& fiber_a, const RankedBitmask& rank_a,
 
 /** Scalar collapse: collapseMatch() per match. */
 std::uint64_t
-scalarCollapseJoin(const SpikeFiber& fiber_a, const RankedBitmask& rank_a,
-                   const WeightFiber& fiber_b, const RankedBitmask& rank_b,
-                   TimeWord all_ones, std::int64_t* pseudo,
-                   std::int64_t* correction, std::uint64_t* acc_ops,
+scalarCollapseJoin(const SpikeFiberView& fiber_a,
+                   const WeightFiberView& fiber_b, TimeWord all_ones,
+                   std::int64_t* pseudo, std::int64_t* correction,
+                   std::uint64_t* acc_ops,
                    std::uint64_t* correction_ops)
 {
     std::uint64_t matches = 0;
     std::uint64_t corrs = 0;
     std::int64_t p = 0;
-    forEachMatch(rank_a, rank_b,
+    forEachMatch(fiber_a, fiber_b,
                  [&](std::size_t, std::size_t a_off, std::size_t b_off) {
                      const TimeWord tw = fiber_a.values[a_off];
                      const std::int32_t weight = fiber_b.values[b_off];
@@ -78,13 +79,13 @@ scalarCollapseJoin(const SpikeFiber& fiber_a, const RankedBitmask& rank_a,
  * the sums equal the scalar fan-out's.
  */
 __attribute__((target("avx2"))) std::uint64_t
-avx2FanoutJoin(const SpikeFiber& fiber_a, const RankedBitmask& rank_a,
-               const WeightFiber& fiber_b, const RankedBitmask& rank_b,
-               int timesteps, std::int32_t* sums, std::uint64_t* acc_ops)
+avx2FanoutJoin(const SpikeFiberView& fiber_a,
+               const WeightFiberView& fiber_b, int timesteps,
+               std::int32_t* sums, std::uint64_t* acc_ops)
 {
-    const std::uint64_t* const a = rank_a.mask().words().data();
-    const std::uint64_t* const b = rank_b.mask().words().data();
-    const std::size_t n = rank_a.mask().words().size();
+    const std::uint64_t* const a = fiber_a.words;
+    const std::uint64_t* const b = fiber_b.words;
+    const std::size_t n = fiber_a.numWords();
     const __m256i lane_bits =
         _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
     __m256i acc = _mm256_setzero_si256();
@@ -94,8 +95,8 @@ avx2FanoutJoin(const SpikeFiber& fiber_a, const RankedBitmask& rank_a,
          w = firstMatchWord(a, b, w + 1, n)) {
         const std::uint64_t aw = a[w];
         const std::uint64_t bw = b[w];
-        const std::uint32_t ra = rank_a.wordRank(w);
-        const std::uint32_t rb = rank_b.wordRank(w);
+        const std::uint32_t ra = fiber_a.wordRank(w);
+        const std::uint32_t rb = fiber_b.wordRank(w);
         for (std::uint64_t x = aw & bw; x != 0; x &= x - 1) {
             const std::uint64_t low = lowMask64(lowestSetBit(x));
             const TimeWord tw = fiber_a.values[ra + popcount64(aw & low)];
@@ -124,15 +125,15 @@ avx2FanoutJoin(const SpikeFiber& fiber_a, const RankedBitmask& rank_a,
  * each match.
  */
 __attribute__((target("avx2"))) std::uint64_t
-avx2CollapseJoin(const SpikeFiber& fiber_a, const RankedBitmask& rank_a,
-                 const WeightFiber& fiber_b, const RankedBitmask& rank_b,
-                 int timesteps, TimeWord all_ones, std::int64_t* pseudo,
+avx2CollapseJoin(const SpikeFiberView& fiber_a,
+                 const WeightFiberView& fiber_b, int timesteps,
+                 TimeWord all_ones, std::int64_t* pseudo,
                  std::int64_t* correction, std::uint64_t* acc_ops,
                  std::uint64_t* correction_ops)
 {
-    const std::uint64_t* const a = rank_a.mask().words().data();
-    const std::uint64_t* const b = rank_b.mask().words().data();
-    const std::size_t n = rank_a.mask().words().size();
+    const std::uint64_t* const a = fiber_a.words;
+    const std::uint64_t* const b = fiber_b.words;
+    const std::size_t n = fiber_a.numWords();
     const __m256i lo_bits = _mm256_setr_epi64x(1, 2, 4, 8);
     const __m256i hi_bits = _mm256_setr_epi64x(16, 32, 64, 128);
     __m256i acc_lo = _mm256_setzero_si256();
@@ -144,8 +145,8 @@ avx2CollapseJoin(const SpikeFiber& fiber_a, const RankedBitmask& rank_a,
          w = firstMatchWord(a, b, w + 1, n)) {
         const std::uint64_t aw = a[w];
         const std::uint64_t bw = b[w];
-        const std::uint32_t ra = rank_a.wordRank(w);
-        const std::uint32_t rb = rank_b.wordRank(w);
+        const std::uint32_t ra = fiber_a.wordRank(w);
+        const std::uint32_t rb = fiber_b.wordRank(w);
         for (std::uint64_t x = aw & bw; x != 0; x &= x - 1) {
             const std::uint64_t low = lowMask64(lowestSetBit(x));
             const TimeWord tw = fiber_a.values[ra + popcount64(aw & low)];
@@ -181,9 +182,9 @@ avx2CollapseJoin(const SpikeFiber& fiber_a, const RankedBitmask& rank_a,
 } // namespace
 
 FusedJoinStats
-fusedTemporalJoin(const SpikeFiber& fiber_a, const RankedBitmask& rank_a,
-                  const WeightFiber& fiber_b, const RankedBitmask& rank_b,
-                  int timesteps, bool collapse, std::int32_t* sums,
+fusedTemporalJoin(const SpikeFiberView& fiber_a,
+                  const WeightFiberView& fiber_b, int timesteps,
+                  bool collapse, std::int32_t* sums,
                   std::int64_t* correction)
 {
     if (timesteps < 1 || timesteps > kMaxTimesteps)
@@ -192,9 +193,9 @@ fusedTemporalJoin(const SpikeFiber& fiber_a, const RankedBitmask& rank_a,
     if (collapse && correction == nullptr)
         panic("fusedTemporalJoin: collapse path needs a correction "
               "buffer");
-    if (rank_a.mask().size() != rank_b.mask().size())
+    if (fiber_a.bits != fiber_b.bits)
         panic("fusedTemporalJoin over mismatched mask sizes %zu vs %zu",
-              rank_a.mask().size(), rank_b.mask().size());
+              fiber_a.bits, fiber_b.bits);
 
     const auto tcount = static_cast<std::size_t>(timesteps);
     const TimeWord all_ones =
@@ -215,13 +216,13 @@ fusedTemporalJoin(const SpikeFiber& fiber_a, const RankedBitmask& rank_a,
             sums[t] = 0;
 #if LOAS_FUSED_AVX2
         if (avx2) {
-            stats.matches = avx2FanoutJoin(fiber_a, rank_a, fiber_b, rank_b,
-                                           timesteps, sums, &stats.acc_ops);
+            stats.matches = avx2FanoutJoin(fiber_a, fiber_b, timesteps,
+                                           sums, &stats.acc_ops);
             return stats;
         }
 #endif
-        stats.matches = scalarFanoutJoin(fiber_a, rank_a, fiber_b, rank_b,
-                                         sums, &stats.acc_ops);
+        stats.matches =
+            scalarFanoutJoin(fiber_a, fiber_b, sums, &stats.acc_ops);
         return stats;
     }
 
@@ -234,13 +235,13 @@ fusedTemporalJoin(const SpikeFiber& fiber_a, const RankedBitmask& rank_a,
 #if LOAS_FUSED_AVX2
     if (avx2)
         stats.matches = avx2CollapseJoin(
-            fiber_a, rank_a, fiber_b, rank_b, timesteps, all_ones, &pseudo,
-            correction, &stats.acc_ops, &stats.correction_ops);
+            fiber_a, fiber_b, timesteps, all_ones, &pseudo, correction,
+            &stats.acc_ops, &stats.correction_ops);
     else
 #endif
         stats.matches = scalarCollapseJoin(
-            fiber_a, rank_a, fiber_b, rank_b, all_ones, &pseudo,
-            correction, &stats.acc_ops, &stats.correction_ops);
+            fiber_a, fiber_b, all_ones, &pseudo, correction,
+            &stats.acc_ops, &stats.correction_ops);
     // One subtract per timestep materializes the full sums (Eq. 1).
     for (std::size_t t = 0; t < tcount; ++t) {
         sums[t] = static_cast<std::int32_t>(pseudo - correction[t]);

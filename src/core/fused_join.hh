@@ -37,7 +37,6 @@
 #include <cstdint>
 
 #include "tensor/fiber.hh"
-#include "tensor/ranked_bitmask.hh"
 
 namespace loas {
 
@@ -67,15 +66,12 @@ struct FusedJoinStats
  * a single word-parallel pass, writing the per-timestep full sums into
  * caller-owned `sums` (at least `timesteps` slots, overwritten).
  *
- * `rank_a` / `rank_b` must view the fibers' masks (compiled artifacts
- * carry them). When `collapse` is set the pseudo-accumulator datapath
- * runs and `correction` must point at `timesteps` scratch slots (its
- * contents are clobbered); otherwise `correction` may be null.
+ * When `collapse` is set the pseudo-accumulator datapath runs and
+ * `correction` must point at `timesteps` scratch slots (its contents
+ * are clobbered); otherwise `correction` may be null.
  */
-FusedJoinStats fusedTemporalJoin(const SpikeFiber& fiber_a,
-                                 const RankedBitmask& rank_a,
-                                 const WeightFiber& fiber_b,
-                                 const RankedBitmask& rank_b,
+FusedJoinStats fusedTemporalJoin(const SpikeFiberView& fiber_a,
+                                 const WeightFiberView& fiber_b,
                                  int timesteps, bool collapse,
                                  std::int32_t* sums,
                                  std::int64_t* correction = nullptr);

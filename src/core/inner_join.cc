@@ -5,6 +5,7 @@
 #include "common/bitutil.hh"
 #include "common/logging.hh"
 #include "core/fused_join.hh"
+#include "tensor/ranked_bitmask.hh"
 
 namespace loas {
 
@@ -20,18 +21,16 @@ InnerJoinUnit::InnerJoinUnit(const InnerJoinConfig& config, int timesteps)
 }
 
 const JoinResult&
-InnerJoinUnit::join(const SpikeFiber& fiber_a,
-                    const RankedBitmask& rank_a,
-                    const WeightFiber& fiber_b,
-                    const RankedBitmask& rank_b,
+InnerJoinUnit::join(const SpikeFiberView& fiber_a,
+                    const WeightFiberView& fiber_b,
                     JoinScratch& scratch) const
 {
-    if (fiber_a.mask.size() != fiber_b.mask.size())
+    if (fiber_a.bits != fiber_b.bits)
         panic("inner join over mismatched fiber lengths %zu vs %zu",
-              fiber_a.mask.size(), fiber_b.mask.size());
+              fiber_a.bits, fiber_b.bits);
 
     const std::size_t chunk_bits = config_.chunk_bits;
-    const std::size_t num_chunks = ceilDiv(fiber_a.mask.size(), chunk_bits);
+    const std::size_t num_chunks = ceilDiv(fiber_a.bits, chunk_bits);
     const std::uint64_t laggy_latency = config_.laggyLatency();
     const std::size_t fifo_depth = config_.fifo_depth;
     const TimeWord all_ones =
@@ -73,17 +72,16 @@ InnerJoinUnit::join(const SpikeFiber& fiber_a,
     std::uint64_t corrections = 0;
     std::uint64_t correction_ops = 0;
 
-    const auto& words_a = fiber_a.mask.words();
-    const std::uint64_t* const wa = words_a.data();
-    const std::uint64_t* const wb = fiber_b.mask.words().data();
-    const std::size_t num_words = words_a.size();
+    const std::uint64_t* const wa = fiber_a.words;
+    const std::uint64_t* const wb = fiber_b.words;
+    const std::size_t num_words = fiber_a.numWords();
     for (std::size_t w = firstMatchWord(wa, wb, 0, num_words);
          w < num_words; w = firstMatchWord(wa, wb, w + 1, num_words)) {
         const std::uint64_t aw = wa[w];
         const std::uint64_t bw = wb[w];
         const std::size_t base = w * Bitmask::kWordBits;
-        const std::size_t ra = rank_a.wordRank(w);
-        const std::size_t rb = rank_b.wordRank(w);
+        const std::size_t ra = fiber_a.wordRank(w);
+        const std::size_t rb = fiber_b.wordRank(w);
         for (std::uint64_t x = aw & bw; x != 0; x &= x - 1) {
             const int bit = lowestSetBit(x);
             const std::size_t pos = base + static_cast<std::size_t>(bit);
@@ -161,7 +159,8 @@ InnerJoinUnit::join(const SpikeFiber& fiber_a,
     const RankedBitmask rank_a(fiber_a.mask);
     const RankedBitmask rank_b(fiber_b.mask);
     JoinScratch scratch;
-    return join(fiber_a, rank_a, fiber_b, rank_b, scratch);
+    return join(fiberView(fiber_a, rank_a), fiberView(fiber_b, rank_b),
+                scratch);
 }
 
 } // namespace loas

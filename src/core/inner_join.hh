@@ -33,8 +33,8 @@
  * The host-side kernel is allocation-free and word-parallel: the
  * inline firstMatchWord scan (common/bitutil.hh) hops over zero AND
  * words of the whole fiber, matches come out one ctz at a time, both
- * fiber offsets come from the O(1) RankedBitmask prefix tables
- * compiled in prepare(), and the per-match arithmetic is
+ * fiber offsets come from the O(1) prefix tables the fiber views
+ * carry (compiled in prepare()), and the per-match arithmetic is
  * collapseMatch (core/fused_join.hh), the same Eq. 1 step as the
  * fused collapse kernel. All working state lives in a
  * caller-owned JoinScratch reused across calls.
@@ -48,7 +48,6 @@
 #include "accel/op_counts.hh"
 #include "core/loas_config.hh"
 #include "tensor/fiber.hh"
-#include "tensor/ranked_bitmask.hh"
 
 namespace loas {
 
@@ -98,14 +97,11 @@ class InnerJoinUnit
 
     /**
      * Join one fiber pair and produce the output neuron's full sums.
-     * `rank_a` / `rank_b` must view the fibers' masks (compiled
-     * artifacts carry them). The returned reference points into
-     * `scratch` and is valid until the next join() on that scratch.
+     * The returned reference points into `scratch` and is valid until
+     * the next join() on that scratch.
      */
-    const JoinResult& join(const SpikeFiber& fiber_a,
-                           const RankedBitmask& rank_a,
-                           const WeightFiber& fiber_b,
-                           const RankedBitmask& rank_b,
+    const JoinResult& join(const SpikeFiberView& fiber_a,
+                           const WeightFiberView& fiber_b,
                            JoinScratch& scratch) const;
 
     /**

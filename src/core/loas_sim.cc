@@ -66,7 +66,7 @@ LoasSim::prepare(const LayerData& layer) const
     art->b = compileWeightColumns(layer.weights);
     std::size_t bytes = art->b.footprintBytes();
     for (const auto& a : art->a)
-        bytes += a.footprintBytes(layer.spec.t);
+        bytes += a.footprintBytes();
     return makeCompiledLayer(layer, formatFamily(), std::move(art),
                              bytes);
 }
@@ -95,7 +95,7 @@ LoasSim::executeInput(const CompiledLayer& compiled, std::size_t input,
     const int timesteps = compiled.timesteps;
     const std::size_t m = compiled.m;
     const std::size_t n = compiled.n;
-    const CompiledSpikeFibers& a = art.a[input];
+    const SpikeFiberSet& a = art.a[input];
     SpikeTensor* const output = input == 0 ? &last_output_ : nullptr;
     if (output != nullptr)
         output->reset(m, n, timesteps);
@@ -122,10 +122,8 @@ LoasSim::executeInput(const CompiledLayer& compiled, std::size_t input,
             wave.clear();
             offsets.clear();
             for (const auto& item : items) {
-                const JoinResult& jr =
-                    join_unit.join(a.fibers[item.m], a.ranked[item.m],
-                                   art.b.fibers[item.n],
-                                   art.b.ranked[item.n], scratch_.join);
+                const JoinResult& jr = join_unit.join(
+                    a.view(item.m), art.b.view(item.n), scratch_.join);
                 const PlifResult pr = plif.fire(jr.sums);
                 wave.push_back(PairJoin{jr.cycles, offsets.size(),
                                         jr.matched_offsets_a.size(),
@@ -197,7 +195,7 @@ LoasSim::joinInput(const CompiledLayer& compiled, std::size_t input)
     const int timesteps = compiled.timesteps;
     const std::size_t m = compiled.m;
     const std::size_t n = compiled.n;
-    const CompiledSpikeFibers& a = art.a[input];
+    const SpikeFiberSet& a = art.a[input];
 
     const InnerJoinUnit join_unit(config_.join, timesteps);
     const Plif plif(config_.lif, timesteps);
@@ -216,9 +214,7 @@ LoasSim::joinInput(const CompiledLayer& compiled, std::size_t input)
     for (std::size_t row = 0; row < m; ++row) {
         for (std::size_t col = 0; col < n; ++col) {
             const JoinResult& jr =
-                join_unit.join(a.fibers[row], a.ranked[row],
-                               art.b.fibers[col], art.b.ranked[col],
-                               scratch_.join);
+                join_unit.join(a.view(row), art.b.view(col), scratch_.join);
             const PlifResult pr = plif.fire(jr.sums);
             const std::size_t p = row * n + col;
             if (jr.cycles > UINT32_MAX ||
@@ -299,13 +295,8 @@ LoasSim::replay(const CompiledLayer& compiled, std::size_t input,
     const std::size_t m = compiled.m;
     const std::size_t n = compiled.n;
 
-    const CompiledSpikeFibers& a = art.a[input];
-    const auto& fibers_a = a.fibers;
-    const auto& fibers_b = art.b.fibers;
-    const auto& a_meta_off = a.meta_off;
-    const auto& a_val_off = a.val_off;
-    const auto& b_meta_off = art.b.meta_off;
-    const auto& b_val_off = art.b.val_off;
+    const SpikeFiberSet& a = art.a[input];
+    const WeightFiberSet& b = art.b;
 
     if (!scratch_.mem)
         scratch_.mem.emplace(config_.cache, config_.dram);
@@ -346,11 +337,10 @@ LoasSim::replay(const CompiledLayer& compiled, std::size_t input,
                     continue;
                 prev_col = item.n;
                 mem.read(TensorCategory::Meta,
-                         kBaseBMeta + b_meta_off[item.n],
-                         fibers_b[item.n].metadataBytes());
+                         kBaseBMeta + b.metaOffset(item.n),
+                         b.metadataBytes());
                 mem.read(TensorCategory::Weight,
-                         kBaseBValues + b_val_off[item.n],
-                         fibers_b[item.n].values.size());
+                         kBaseBValues + b.val_off[item.n], b.nnz(item.n));
             }
 
             std::uint64_t wave_cycles = 0;
@@ -359,8 +349,8 @@ LoasSim::replay(const CompiledLayer& compiled, std::size_t input,
                 const PairJoin& pair = scratch_.wave[k];
                 // Stream the spike bitmask of this row into the TPPE.
                 mem.read(TensorCategory::Meta,
-                         kBaseAMeta + a_meta_off[item.m],
-                         fibers_a[item.m].metadataBytes());
+                         kBaseAMeta + a.metaOffset(item.m),
+                         a.metadataBytes());
 
                 // Matched packed spike words fetched from the global
                 // cache; adjacent offsets coalesce into one access,
@@ -376,7 +366,7 @@ LoasSim::replay(const CompiledLayer& compiled, std::size_t input,
                 const auto tbits = static_cast<std::uint64_t>(timesteps);
                 const std::uint64_t line = config_.cache.line_bytes;
                 const std::uint64_t row_base =
-                    kBaseAValues + a_val_off[item.m];
+                    kBaseAValues + a.val_off[item.m];
                 std::uint64_t run_addr = 0;    // merged walk, [addr, end)
                 std::uint64_t run_end = 0;
                 std::uint64_t run_payload = 0;

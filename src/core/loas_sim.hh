@@ -33,8 +33,8 @@ namespace loas {
  */
 struct LoasCompiled : CompiledArtifact
 {
-    std::vector<CompiledSpikeFibers> a;  // per input: rows of A
-    CompiledWeightFibers b;              // columns of B
+    std::vector<SpikeFiberSet> a;  // per input: rows of A
+    WeightFiberSet b;              // columns of B
 };
 
 /**

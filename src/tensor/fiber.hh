@@ -8,10 +8,16 @@
  * For spike fibers the stored values are packed temporal words (T bits
  * per non-silent neuron); silent neurons (zero at every timestep) are not
  * stored at all. For weight fibers the values are int8 weights.
+ *
+ * The owning SpikeFiber / WeightFiber hold one fiber each (tests, the
+ * output compressor). Compiled operands store whole fiber sets as a
+ * few contiguous arrays (accel/compiled_layer.hh) and hand out
+ * FiberViews: plain pointers into those arrays, copyable at will.
  */
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -78,5 +84,47 @@ struct WeightFiber
         return mask.storageBytes() + SpikeFiber::kPointerBytes;
     }
 };
+
+/**
+ * Non-owning rank view of one mask: its words and the per-word prefix
+ * popcounts (numWords() + 1 entries, the last one the mask's
+ * popcount), the O(1) offset tables of the paper's prefix-sum circuits
+ * (Fig. 8). Everything a word-parallel join reads of a mask.
+ */
+struct RankedWords
+{
+    const std::uint64_t* words = nullptr;
+    const std::uint32_t* prefix = nullptr;
+    std::size_t bits = 0;  // mask length in positions
+
+    std::size_t
+    numWords() const
+    {
+        return (bits + Bitmask::kWordBits - 1) / Bitmask::kWordBits;
+    }
+
+    /** Set bits strictly before the start of word w. */
+    std::uint32_t wordRank(std::size_t w) const { return prefix[w]; }
+
+    /** Total set bits of the mask. */
+    std::size_t popcount() const { return prefix[numWords()]; }
+};
+
+/**
+ * Non-owning view of one compressed fiber: a ranked mask plus the
+ * fiber's stored values, in mask order (value of the i-th set position
+ * at values[i]). What every join kernel and simulator reads.
+ */
+template <typename V>
+struct FiberView : RankedWords
+{
+    const V* values = nullptr;
+
+    /** Number of stored values (the mask's popcount). */
+    std::size_t nnz() const { return popcount(); }
+};
+
+using SpikeFiberView = FiberView<TimeWord>;
+using WeightFiberView = FiberView<std::int32_t>;
 
 } // namespace loas

@@ -2,17 +2,16 @@
  * @file
  * O(1) rank acceleration for Bitmask: a per-word prefix-popcount table,
  * the software analogue of the precomputed offset tables the paper's
- * prefix-sum circuits (Fig. 8) stream from memory. Built once per fiber
- * in an accelerator's prepare() phase and stored inside the compiled
- * artifacts, so the cost is amortized across every execute() of every
- * design variant sharing the CompiledCache entry.
+ * prefix-sum circuits (Fig. 8) stream from memory.
  *
- * A RankedBitmask is a *view*: it holds a pointer to the Bitmask it
- * indexes plus the prefix table. The viewed Bitmask must outlive the
- * view and must not be mutated or relocated after construction (moving
- * the *container* that owns both — e.g. a compiled-fiber struct whose
- * vector storage transfers wholesale — is fine; element-wise copies or
- * vector reallocation are not).
+ * Compiled operands keep these tables inside their flat fiber sets
+ * (accel/compiled_layer.hh), built once in prepare() or on a disk
+ * load. RankedBitmask is the single-mask form for tests and harnesses
+ * that hold an owning Bitmask: it owns its table and points at the
+ * Bitmask it indexes, which must outlive it and stay unmodified.
+ *
+ * The word-parallel match loops (forEachMatch) read only RankedWords,
+ * the non-owning (words, prefix, bits) view both forms hand out.
  */
 
 #pragma once
@@ -25,8 +24,25 @@
 #include "common/bitutil.hh"
 #include "common/logging.hh"
 #include "tensor/bitmask.hh"
+#include "tensor/fiber.hh"
 
 namespace loas {
+
+/**
+ * Write the n + 1 prefix popcounts of `words` into `prefix` (entry w
+ * counts the set bits before word w); returns the total.
+ */
+inline std::uint32_t
+rankWords(const std::uint64_t* words, std::size_t n, std::uint32_t* prefix)
+{
+    std::uint32_t running = 0;
+    for (std::size_t w = 0; w < n; ++w) {
+        prefix[w] = running;
+        running += static_cast<std::uint32_t>(popcount64(words[w]));
+    }
+    prefix[n] = running;
+    return running;
+}
 
 /** Prefix-popcount view over a Bitmask giving O(1) rank queries. */
 class RankedBitmask
@@ -37,39 +53,8 @@ class RankedBitmask
     /** Build the per-word rank table for `mask` (O(words) once). */
     explicit RankedBitmask(const Bitmask& mask) : mask_(&mask)
     {
-        const auto& words = mask.words();
-        prefix_.resize(words.size() + 1);
-        std::uint32_t running = 0;
-        for (std::size_t w = 0; w < words.size(); ++w) {
-            prefix_[w] = running;
-            running += static_cast<std::uint32_t>(popcount64(words[w]));
-        }
-        prefix_[words.size()] = running;
-    }
-
-    /**
-     * Reattach a stored prefix table to `mask` (deserialization of the
-     * on-disk compiled-artifact format). The table must be the one
-     * RankedBitmask(mask) would build: words()+1 entries ending in the
-     * mask's popcount (panic otherwise — offset arithmetic downstream
-     * has no other guard).
-     */
-    RankedBitmask(const Bitmask& mask, std::vector<std::uint32_t> prefix)
-        : mask_(&mask), prefix_(std::move(prefix))
-    {
-        if (prefix_.size() != mask.words().size() + 1 ||
-            prefix_.back() != mask.popcount())
-            panic("RankedBitmask prefix table does not match its mask "
-                  "(%zu entries, total %u, mask %zu words / %zu set)",
-                  prefix_.size(),
-                  prefix_.empty() ? 0u : prefix_.back(),
-                  mask.words().size(), mask.popcount());
-    }
-
-    /** The raw prefix-popcount table (serialization). */
-    const std::vector<std::uint32_t>& prefixTable() const
-    {
-        return prefix_;
+        prefix_.resize(mask.words().size() + 1);
+        rankWords(mask.words().data(), mask.words().size(), prefix_.data());
     }
 
     /** The viewed mask (must still be alive). */
@@ -101,6 +86,12 @@ class RankedBitmask
                    popcount64(mask_->words()[w] & lowMask64(rem)));
     }
 
+    /** The (words, prefix, bits) view the match loops read. */
+    operator RankedWords() const
+    {
+        return {mask_->words().data(), prefix_.data(), mask_->size()};
+    }
+
     /** Popcount of the sub-range [lo, hi), in O(1). */
     std::size_t
     popcountRange(std::size_t lo, std::size_t hi) const
@@ -121,18 +112,18 @@ class RankedBitmask
  * Invoke fn(pos, rank_a, rank_b) for every position set in both masks
  * over the full length — the fused temporally-parallel join: one
  * 64-bit AND per weight word serves every timestep at once, with both
- * value offsets coming from the compiled prefix tables in O(1).
+ * value offsets coming from the prefix tables in O(1).
  */
 template <typename Fn>
 void
-forEachMatch(const RankedBitmask& a, const RankedBitmask& b, Fn&& fn)
+forEachMatch(const RankedWords& a, const RankedWords& b, Fn&& fn)
 {
-    if (a.mask().size() != b.mask().size())
+    if (a.bits != b.bits)
         panic("forEachMatch over mismatched mask sizes %zu vs %zu",
-              a.mask().size(), b.mask().size());
-    const std::uint64_t* const wa = a.mask().words().data();
-    const std::uint64_t* const wb = b.mask().words().data();
-    const std::size_t n = a.mask().words().size();
+              a.bits, b.bits);
+    const std::uint64_t* const wa = a.words;
+    const std::uint64_t* const wb = b.words;
+    const std::size_t n = a.numWords();
     // The scan hops straight to the next non-zero AND word (the common
     // case at realistic sparsities is long zero runs). Word-local
     // state is hoisted out of the per-match loop: both word ranks load
@@ -156,32 +147,51 @@ forEachMatch(const RankedBitmask& a, const RankedBitmask& b, Fn&& fn)
 }
 
 /**
- * Invoke fn(pos, rank_b) for every position set in both masks over the
- * full length, with only b's rank materialized (the SparTen join: the
- * spike row is its own data, only the weight offset is needed).
+ * Invoke fn(pos, rank_b) for every position set in both `a_words` (an
+ * unranked mask of b.bits positions) and b, with only b's rank
+ * materialized (the SparTen join: the spike row is its own data, only
+ * the weight offset is needed).
  */
 template <typename Fn>
 void
-forEachMatch(const Bitmask& a, const RankedBitmask& b, Fn&& fn)
+forEachMatch(const std::uint64_t* a_words, const RankedWords& b, Fn&& fn)
 {
-    if (a.size() != b.mask().size())
-        panic("forEachMatch over mismatched mask sizes %zu vs %zu",
-              a.size(), b.mask().size());
-    const std::uint64_t* const wa = a.words().data();
-    const std::uint64_t* const wb = b.mask().words().data();
-    const std::size_t n = a.words().size();
-    for (std::size_t w = firstMatchWord(wa, wb, 0, n); w < n;
-         w = firstMatchWord(wa, wb, w + 1, n)) {
+    const std::uint64_t* const wb = b.words;
+    const std::size_t n = b.numWords();
+    for (std::size_t w = firstMatchWord(a_words, wb, 0, n); w < n;
+         w = firstMatchWord(a_words, wb, w + 1, n)) {
         const std::uint64_t bw = wb[w];
         const std::size_t base = w * Bitmask::kWordBits;
         const std::size_t rb = b.wordRank(w);
-        for (std::uint64_t x = wa[w] & bw; x != 0; x &= x - 1) {
+        for (std::uint64_t x = a_words[w] & bw; x != 0; x &= x - 1) {
             const int bit = lowestSetBit(x);
             fn(base + static_cast<std::size_t>(bit),
                rb + static_cast<std::size_t>(
                         popcount64(bw & lowMask64(bit))));
         }
     }
+}
+
+/** forEachMatch over an owning Bitmask (checks the lengths agree). */
+template <typename Fn>
+void
+forEachMatch(const Bitmask& a, const RankedWords& b, Fn&& fn)
+{
+    if (a.size() != b.bits)
+        panic("forEachMatch over mismatched mask sizes %zu vs %zu",
+              a.size(), b.bits);
+    forEachMatch(a.words().data(), b, std::forward<Fn>(fn));
+}
+
+/** View an owning fiber through the RankedBitmask built over its mask. */
+template <typename Fiber>
+auto
+fiberView(const Fiber& fiber, const RankedBitmask& ranked)
+{
+    FiberView<typename decltype(fiber.values)::value_type> view;
+    static_cast<RankedWords&>(view) = ranked;
+    view.values = fiber.values.data();
+    return view;
 }
 
 } // namespace loas

@@ -36,28 +36,8 @@ isTempFile(const fs::path& path)
            std::string::npos;
 }
 
-/** write() the whole buffer, riding out EINTR and short writes; a
- *  short write with no errno (ENOSPC reporting as a partial count)
- *  simply continues and fails on the next call's -1. */
-bool
-writeAllFd(int fd, const char* data, std::size_t size)
-{
-    std::size_t off = 0;
-    while (off < size) {
-        const ssize_t n = ::write(fd, data + off, size - off);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        off += static_cast<std::size_t>(n);
-    }
-    return true;
-}
-
 /** read() exactly `size` bytes, riding out EINTR and partial reads;
- *  false on an error or on end of file before `size` bytes (the file
- *  shrank under the reader). */
+ *  false on an error or on end of file before `size` bytes. */
 bool
 readAllFd(int fd, char* data, std::size_t size)
 {
@@ -120,48 +100,44 @@ ArtifactStore::load(const std::string& key) const
     if (fault::shouldFail(fault::Site::DiskRead))
         return io_reject();
 
-    // One sized read of the whole file: artifacts are published by
-    // rename, so the size fstat reports is the size of the file this
-    // descriptor will read, and a shortfall is an I/O failure.
+    // Artifacts are published by rename, so the size fstat reports is
+    // the size of the file this descriptor reads, and a shortfall is an
+    // I/O failure.
     struct stat st;
     if (::fstat(fd, &st) != 0)
         return io_reject();
     if (!S_ISREG(st.st_mode))
         return reject();
-    const std::size_t file_size = static_cast<std::size_t>(st.st_size);
+    const auto file_size = static_cast<std::uint64_t>(st.st_size);
     if (file_size < kHeaderBytes)
         return reject();
-    const auto blob = std::make_unique_for_overwrite<char[]>(file_size);
-    if (!readAllFd(fd, blob.get(), file_size))
+    char header[kHeaderBytes];
+    if (!readAllFd(fd, header, kHeaderBytes))
         return io_reject();
-
-    if (std::memcmp(blob.get(), kMagic, sizeof(kMagic)) != 0)
+    if (std::memcmp(header, kMagic, sizeof(kMagic)) != 0)
         return reject();
-
     std::uint32_t version = 0;
     std::uint64_t checksum = 0, payload_size = 0;
     std::size_t pos = sizeof(kMagic);
-    std::memcpy(&version, blob.get() + pos, sizeof(version));
+    std::memcpy(&version, header + pos, sizeof(version));
     pos += sizeof(version);
-    std::memcpy(&checksum, blob.get() + pos, sizeof(checksum));
+    std::memcpy(&checksum, header + pos, sizeof(checksum));
     pos += sizeof(checksum);
-    std::memcpy(&payload_size, blob.get() + pos, sizeof(payload_size));
-    pos += sizeof(payload_size);
-
-    if (version != kFormatVersion)
-        return reject();
-    if (payload_size != file_size - kHeaderBytes)
-        return reject();
-    if (artio::checksum(blob.get() + pos, payload_size) != checksum)
+    std::memcpy(&payload_size, header + pos, sizeof(payload_size));
+    if (version != kFormatVersion ||
+        payload_size != file_size - kHeaderBytes)
         return reject();
 
-    artio::Reader reader(blob.get() + pos,
-                         static_cast<std::size_t>(payload_size));
+    // The payload streams straight into the layer's own arrays under a
+    // running checksum; the checksum verdict comes once it is all in.
+    artio::Reader reader(fd, payload_size);
     std::string stored_key;
-    if (!reader.str(stored_key) || stored_key != key)
-        return reject();
     auto layer = std::make_shared<CompiledLayer>();
-    if (!artio::deserializeCompiledLayer(reader, *layer))
+    const bool parsed = reader.str(stored_key) && stored_key == key &&
+                        artio::deserializeCompiledLayer(reader, *layer);
+    if (reader.ioError())
+        return io_reject();
+    if (!parsed || reader.checksum() != checksum)
         return reject();
     result.layer = std::move(layer);
     return result;
@@ -171,29 +147,10 @@ bool
 ArtifactStore::store(const std::string& key,
                      const CompiledLayer& layer) const
 {
-    artio::Writer payload;
-    payload.str(key);
-    if (!artio::serializeCompiledLayer(layer, payload))
-        return false;
-
     std::error_code ec;
     fs::create_directories(dir_, ec);
     if (ec)
         return false;
-
-    const std::string body = payload.take();
-    std::string blob(kMagic, sizeof(kMagic));
-    const std::uint32_t version = kFormatVersion;
-    const std::uint64_t checksum =
-        artio::checksum(body.data(), body.size());
-    const std::uint64_t payload_size = body.size();
-    blob.append(reinterpret_cast<const char*>(&version),
-                sizeof(version));
-    blob.append(reinterpret_cast<const char*>(&checksum),
-                sizeof(checksum));
-    blob.append(reinterpret_cast<const char*>(&payload_size),
-                sizeof(payload_size));
-    blob += body;
 
     // Unique temporary, fsync, atomic rename: readers and concurrent
     // writers only ever see complete files, the last writer wins, and
@@ -211,8 +168,32 @@ ArtifactStore::store(const std::string& key,
                           0644);
     if (fd < 0)
         return false;
+    // The payload streams straight from the layer's arrays after the
+    // header's place; the header (its checksum and size known only at
+    // the end) is written into that place last.
     bool ok = !fault::shouldFail(fault::Site::DiskWrite) &&
-              writeAllFd(fd, blob.data(), blob.size());
+              ::lseek(fd, kHeaderBytes, SEEK_SET) ==
+                  static_cast<off_t>(kHeaderBytes);
+    if (ok) {
+        artio::Writer payload(fd);
+        payload.str(key);
+        ok = artio::serializeCompiledLayer(layer, payload) &&
+             payload.flush();
+        const std::uint32_t version = kFormatVersion;
+        const std::uint64_t checksum = payload.checksum();
+        const std::uint64_t payload_size = payload.size();
+        char header[kHeaderBytes];
+        std::size_t pos = 0;
+        std::memcpy(header + pos, kMagic, sizeof(kMagic));
+        pos += sizeof(kMagic);
+        std::memcpy(header + pos, &version, sizeof(version));
+        pos += sizeof(version);
+        std::memcpy(header + pos, &checksum, sizeof(checksum));
+        pos += sizeof(checksum);
+        std::memcpy(header + pos, &payload_size, sizeof(payload_size));
+        ok = ok && ::pwrite(fd, header, kHeaderBytes, 0) ==
+                       static_cast<ssize_t>(kHeaderBytes);
+    }
     ok = ok && ::fsync(fd) == 0;
     ok = (::close(fd) == 0) && ok;
     if (!ok) {

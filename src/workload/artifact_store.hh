@@ -14,9 +14,11 @@
  *     N B  payload: cache key string, then the serialized
  *          CompiledLayer (artifact_io.hh)
  *
- * A load reads the whole file with one sized read and verifies the
- * checksum word by word, so a warm load costs about what the
- * deserialization does.
+ * A load streams the payload straight into the layer's final arrays
+ * (no whole-file buffer) under a running checksum, then re-derives the
+ * rank and offset tables, so a warm load costs about one pass over the
+ * bytes. A store streams the arrays out the same way and writes the
+ * header, whose checksum and size are known only at the end, last.
  *
  * Robustness rules: a missing file is a plain miss; every other
  * anomaly — short read, magic or version mismatch (an older format
@@ -55,7 +57,7 @@ class ArtifactStore
      * semantically different artifact from being served to a newer
      * binary as if it were fresh.
      */
-    static constexpr std::uint32_t kFormatVersion = 5;
+    static constexpr std::uint32_t kFormatVersion = 6;
 
     /** Filename suffix of artifact files (everything else is ignored). */
     static constexpr const char* kFileSuffix = ".loasart";

@@ -21,6 +21,9 @@
 #include "api/registry.hh"
 #include "api/sweep.hh"
 #include "api/sweep_io.hh"
+#include "baselines/gamma.hh"
+#include "baselines/gospa.hh"
+#include "core/loas_sim.hh"
 #include "workload/artifact_io.hh"
 #include "workload/artifact_store.hh"
 #include "workload/compiled_cache.hh"
@@ -212,6 +215,101 @@ TEST(ArtifactChecksum, EverySingleByteFlipChangesIt)
                   artio::checksum(zeros.data(), size + 1));
 }
 
+TEST(ArtifactChecksum, StreamingEqualsOneShotAtEverySplit)
+{
+    // Loads and stores checksum the payload piece by piece as it
+    // streams; every split of every size around the 32-byte stripe and
+    // its sub-word tail must give the one-shot value.
+    std::string buf(200, '\0');
+    for (std::size_t i = 0; i < buf.size(); ++i)
+        buf[i] = static_cast<char>(i * 131 + 7);
+    for (std::size_t size = 0; size <= buf.size(); ++size) {
+        const std::uint64_t whole = artio::checksum(buf.data(), size);
+        for (std::size_t split = 0; split <= size; ++split) {
+            artio::Checksum sum;
+            sum.update(buf.data(), split);
+            sum.update(buf.data() + split, size - split);
+            EXPECT_EQ(sum.finish(), whole)
+                << "size " << size << " split " << split;
+        }
+        artio::Checksum bytewise;
+        for (std::size_t i = 0; i < size; ++i)
+            bytewise.update(buf.data() + i, 1);
+        EXPECT_EQ(bytewise.finish(), whole) << "size " << size;
+    }
+}
+
+/**
+ * Store `compiled` after `corrupt` edits a copy of its artifact, so
+ * the file carries a valid checksum over malformed operands; the
+ * loader's own validation must reject it.
+ */
+template <typename Art, typename Corrupt>
+void
+expectCorruptArtifactRejected(const std::string& design, Corrupt&& corrupt)
+{
+    SCOPED_TRACE(design);
+    const ArtifactStore store(tempCacheDir("malformed-" + design));
+    const LayerData layer = generateLayer(oddLayer(), 37);
+    const auto compiler = AcceleratorRegistry::instance().make(design);
+    CompiledLayer compiled = compiler->prepare(layer);
+    auto art = std::make_shared<Art>(
+        artifactAs<Art>(compiled, compiler->formatFamily()));
+    corrupt(*art);
+    compiled.artifact = art;
+    const std::string key = compiledLayerKey(
+        "net", 0, false, compiler->formatFamily(), layer.spec.t, 37);
+    ASSERT_TRUE(store.store(key, compiled));
+    const ArtifactStore::LoadResult result = store.load(key);
+    EXPECT_EQ(result.layer, nullptr);
+    EXPECT_TRUE(result.rejected);
+    EXPECT_FALSE(result.io_error);
+}
+
+/** First fiber of `set` storing at least `min_nnz` values. */
+template <typename Set>
+std::size_t
+fiberWithNnz(const Set& set, std::size_t min_nnz)
+{
+    for (std::size_t i = 0; i < set.fibers; ++i)
+        if (set.nnz(i) >= min_nnz)
+            return i;
+    ADD_FAILURE() << "no fiber stores " << min_nnz << " values";
+    return 0;
+}
+
+TEST(ArtifactStore, ChecksumValidMalformedOperandsReject)
+{
+    // One fiber's values cut by one: the values no longer match the
+    // mask popcount, and the joins would index past the fiber.
+    expectCorruptArtifactRejected<GospaCompiled>(
+        "gospa", [](GospaCompiled& art) {
+            const std::size_t i = fiberWithNnz(art.b, 2);
+            art.b.values.erase(art.b.values.begin() +
+                               static_cast<std::ptrdiff_t>(
+                                   art.b.value_begin[i] + 1));
+        });
+    // A set bit past the mask length (n = 40 leaves a partial word),
+    // with a value added so the popcount still matches.
+    expectCorruptArtifactRejected<GammaCompiled>(
+        "gamma", [](GammaCompiled& art) {
+            art.b.words[art.b.wordsPerFiber() - 1] |= std::uint64_t{1}
+                                                      << 63;
+            art.b.values.insert(
+                art.b.values.begin() +
+                    static_cast<std::ptrdiff_t>(art.b.value_begin[1]),
+                1);
+        });
+    // A temporal word wider than T: the fan-out would index a timestep
+    // accumulator past the layer's T.
+    expectCorruptArtifactRejected<LoasCompiled>(
+        "loas", [](LoasCompiled& art) {
+            SpikeFiberSet& a = art.a[0];
+            a.values[a.value_begin[fiberWithNnz(a, 1)]] = TimeWord{1}
+                                                           << a.value_bits;
+        });
+}
+
 TEST(ArtifactStore, ChecksumRejectsFlipsInFirstWordAndTail)
 {
     const std::string dir = tempCacheDir("word-checksum");
@@ -367,32 +465,24 @@ TEST(DiskCache, CorruptedEntryFallsBackToRecompile)
     EXPECT_EQ(healed.compile_cache.misses, 0u);
 }
 
-TEST(DiskCache, V4FileIsRejectedRecompiledAndRewrittenAsV5)
+TEST(DiskCache, V5FileIsRejectedRecompiledAndRewrittenAsV6)
 {
-    const std::string dir = tempCacheDir("v4");
+    const std::string dir = tempCacheDir("v5");
     const LayerData layer = generateLayer(oddLayer(), 67);
     const auto compiler = AcceleratorRegistry::instance().make("loas");
     const CompiledLayer compiled = compiler->prepare(layer);
     const std::string key =
         compiledLayerKey("net", 0, false, "loas", layer.spec.t, 67);
 
-    // A genuine version-4 file: the same payload under the v4 header,
-    // whose checksum was the byte-wise FNV-1a.
-    artio::Writer payload;
-    payload.str(key);
-    ASSERT_TRUE(artio::serializeCompiledLayer(compiled, payload));
-    const std::string body = payload.take();
-    const std::uint32_t v4 = 4;
-    const std::uint64_t fnv = artio::fnv1a(body.data(), body.size());
-    const std::uint64_t size = body.size();
+    // A file stamped version 5 whose checksum is still valid (v5 used
+    // the same checksum): only the stamp marks it stale.
+    ASSERT_TRUE(ArtifactStore(dir).store(key, compiled));
     {
-        std::ofstream file(ArtifactStore(dir).path(key),
-                           std::ios::binary);
-        file.write("LOASART\0", 8);
-        file.write(reinterpret_cast<const char*>(&v4), sizeof(v4));
-        file.write(reinterpret_cast<const char*>(&fnv), sizeof(fnv));
-        file.write(reinterpret_cast<const char*>(&size), sizeof(size));
-        file << body;
+        std::fstream file(ArtifactStore(dir).path(key),
+                          std::ios::binary | std::ios::in | std::ios::out);
+        const std::uint32_t v5 = 5;
+        file.seekp(8);
+        file.write(reinterpret_cast<const char*>(&v5), sizeof(v5));
         ASSERT_TRUE(file.good());
     }
 
@@ -414,7 +504,7 @@ TEST(DiskCache, V4FileIsRejectedRecompiledAndRewrittenAsV5)
         file.seekg(8);
         file.read(reinterpret_cast<char*>(&version), sizeof(version));
     }
-    EXPECT_EQ(version, 5u);
+    EXPECT_EQ(version, 6u);
     EXPECT_EQ(version, ArtifactStore::kFormatVersion);
 
     const ArtifactStore::LoadResult loaded = ArtifactStore(dir).load(key);

@@ -121,8 +121,9 @@ runFused(const SpikeFiber& fa, const WeightFiber& fb, int timesteps,
         static_cast<std::size_t>(timesteps), -1); // overwritten
     std::vector<std::int64_t> corr(
         static_cast<std::size_t>(timesteps), 0);
-    const FusedJoinStats stats = fusedTemporalJoin(
-        fa, ra, fb, rb, timesteps, collapse, sums.data(), corr.data());
+    const FusedJoinStats stats =
+        fusedTemporalJoin(fiberView(fa, ra), fiberView(fb, rb), timesteps,
+                          collapse, sums.data(), corr.data());
     if (stats_out != nullptr)
         *stats_out = stats;
     return sums;
@@ -275,17 +276,16 @@ TEST(FusedJoinDeathTest, RejectsBadArguments)
     const SpikeFiber fa = randomSpikeFiber(k, 4, 0.5, 0.5, 31);
     const WeightFiber fb = randomWeightFiber(k, 0.5, 32);
     const RankedBitmask ra(fa.mask), rb(fb.mask);
+    const SpikeFiberView va = fiberView(fa, ra);
+    const WeightFiberView vb = fiberView(fb, rb);
     std::vector<std::int32_t> sums(kMaxTimesteps + 1, 0);
-    EXPECT_DEATH(
-        fusedTemporalJoin(fa, ra, fb, rb, 0, false, sums.data()),
-        "timesteps outside");
-    EXPECT_DEATH(fusedTemporalJoin(fa, ra, fb, rb, kMaxTimesteps + 1,
-                                   false, sums.data()),
+    EXPECT_DEATH(fusedTemporalJoin(va, vb, 0, false, sums.data()),
                  "timesteps outside");
-    EXPECT_DEATH(
-        fusedTemporalJoin(fa, ra, fb, rb, 4, true, sums.data(),
-                          nullptr),
-        "correction");
+    EXPECT_DEATH(fusedTemporalJoin(va, vb, kMaxTimesteps + 1, false,
+                                   sums.data()),
+                 "timesteps outside");
+    EXPECT_DEATH(fusedTemporalJoin(va, vb, 4, true, sums.data(), nullptr),
+                 "correction");
 }
 
 TEST(ForEachMatch, FullRangeTwoRankOverloadAgreesWithBitScan)

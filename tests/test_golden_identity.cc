@@ -37,6 +37,7 @@
 #include "common/bitutil.hh"
 #include "common/rng.hh"
 #include "core/inner_join.hh"
+#include "tensor/ranked_bitmask.hh"
 #include "workload/generator.hh"
 #include "workload/networks.hh"
 
@@ -361,9 +362,10 @@ TEST(WordParallelJoin, ScratchReuseIsStateless)
     // One scratch reused across different fiber pairs must reproduce
     // the fresh-scratch (convenience API) results exactly.
     JoinScratch scratch;
-    const JoinResult first =
-        unit.join(fa1, ra1, fb1, rb1, scratch); // copy out of scratch
-    const JoinResult second = unit.join(fa2, ra2, fb2, rb2, scratch);
+    const JoinResult first = unit.join(
+        fiberView(fa1, ra1), fiberView(fb1, rb1), scratch); // a copy
+    const JoinResult second =
+        unit.join(fiberView(fa2, ra2), fiberView(fb2, rb2), scratch);
     expectJoinResultsEqual(first, unit.join(fa1, fb1));
     expectJoinResultsEqual(second, unit.join(fa2, fb2));
 }

@@ -9,6 +9,7 @@
 #include "common/rng.hh"
 #include "core/inner_join.hh"
 #include "tensor/compress.hh"
+#include "tensor/ranked_bitmask.hh"
 
 namespace loas {
 namespace {
@@ -407,7 +408,8 @@ TEST(InnerJoinDifferential, LiveChunkKernelMatchesPerChunkReference)
                         const RankedBitmask ra(p.a.mask);
                         const RankedBitmask rb(p.b.mask);
                         expectSameJoin(
-                            unit.join(p.a, ra, p.b, rb, scratch),
+                            unit.join(fiberView(p.a, ra),
+                                      fiberView(p.b, rb), scratch),
                             referenceJoin(config, timesteps, p.a, p.b));
                     }
                 }

@@ -27,6 +27,7 @@
 #include "common/rng.hh"
 #include "core/fused_join.hh"
 #include "core/kernel_dispatch.hh"
+#include "tensor/ranked_bitmask.hh"
 #include "workload/compiled_cache.hh"
 #include "workload/generator.hh"
 #include "workload/networks.hh"
@@ -150,17 +151,19 @@ TEST(KernelDispatch, FusedJoinKernelsMatchScalar)
             }
             const RankedBitmask ra(fa.mask);
             const RankedBitmask rb(fb.mask);
+            const SpikeFiberView va = fiberView(fa, ra);
+            const WeightFiberView vb = fiberView(fb, rb);
             const auto tc = static_cast<std::size_t>(timesteps);
             std::vector<std::int32_t> want_sums(tc), got_sums(tc);
             std::vector<std::int64_t> want_corr(tc), got_corr(tc);
 
             kernels::setIsa(kernels::Isa::Scalar);
             const FusedJoinStats want_fan = fusedTemporalJoin(
-                fa, ra, fb, rb, timesteps, /*collapse=*/false,
+                va, vb, timesteps, /*collapse=*/false,
                 want_sums.data());
             std::vector<std::int32_t> want_csums(tc);
             const FusedJoinStats want_col = fusedTemporalJoin(
-                fa, ra, fb, rb, timesteps, /*collapse=*/true,
+                va, vb, timesteps, /*collapse=*/true,
                 want_csums.data(), want_corr.data());
 
             for (const auto isa : supportedIsas()) {
@@ -171,7 +174,7 @@ TEST(KernelDispatch, FusedJoinKernelsMatchScalar)
                     " density=" + std::to_string(density);
 
                 const FusedJoinStats fan = fusedTemporalJoin(
-                    fa, ra, fb, rb, timesteps, /*collapse=*/false,
+                    va, vb, timesteps, /*collapse=*/false,
                     got_sums.data());
                 EXPECT_EQ(got_sums, want_sums) << what;
                 EXPECT_EQ(fan.matches, want_fan.matches) << what;
@@ -181,7 +184,7 @@ TEST(KernelDispatch, FusedJoinKernelsMatchScalar)
 
                 std::vector<std::int32_t> got_csums(tc);
                 const FusedJoinStats col = fusedTemporalJoin(
-                    fa, ra, fb, rb, timesteps, /*collapse=*/true,
+                    va, vb, timesteps, /*collapse=*/true,
                     got_csums.data(), got_corr.data());
                 EXPECT_EQ(got_csums, want_csums) << what;
                 EXPECT_EQ(got_corr, want_corr) << what;

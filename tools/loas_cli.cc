@@ -39,8 +39,8 @@
  *       fused vs sequential temporal joins, O(1) rank tables) and
  *       verifies the zero-allocation steady state of every registered
  *       design's execute() including the fused SparTen path, written
- *       as BENCH_kernels.json (schema loas-kernels/3), including the
- *       per-ISA join throughputs behind the simd_speedup metric.
+ *       as BENCH_kernels.json (schema loas-kernels/4), including the
+ *       scalar fused-join throughput behind the simd_speedup metric.
  *
  *   loas_cli cache stats|clear|warm --cache-dir PATH ...
  *       Manage the on-disk compiled-artifact cache: report occupancy,
@@ -732,7 +732,7 @@ runSweep(int argc, char** argv)
 /**
  * Time the hot simulation kernels and verify the zero-allocation
  * steady-state contract of every registered design's execute().
- * Appends (name, value) metric pairs for the loas-kernels/3 schema.
+ * Appends (name, value) metric pairs for the loas-kernels/4 schema.
  */
 void
 runKernelBench(bool quick, std::uint64_t seed,
@@ -766,16 +766,18 @@ runKernelBench(bool quick, std::uint64_t seed,
     }
     const RankedBitmask rank_a(fa.mask);
     const RankedBitmask rank_b(fb.mask);
+    const SpikeFiberView view_a = fiberView(fa, rank_a);
+    const WeightFiberView view_b = fiberView(fb, rank_b);
     const InnerJoinUnit unit(InnerJoinConfig{}, 4);
     JoinScratch scratch;
-    unit.join(fa, rank_a, fb, rank_b, scratch); // warm the scratch
+    unit.join(view_a, view_b, scratch); // warm the scratch
 
     const int join_iters = quick ? 20000 : 100000;
     const std::uint64_t allocs_before = allochook::allocationCount();
     const auto t_join = Clock::now();
     std::uint64_t matches = 0;
     for (int i = 0; i < join_iters; ++i)
-        matches += unit.join(fa, rank_a, fb, rank_b, scratch).matches;
+        matches += unit.join(view_a, view_b, scratch).matches;
     const double join_s = seconds_since(t_join);
     const auto join_allocs = static_cast<double>(
         allochook::allocationCount() - allocs_before);
@@ -823,6 +825,8 @@ runKernelBench(bool quick, std::uint64_t seed,
     }
     const RankedBitmask rank_a8(fa8.mask);
     const RankedBitmask rank_b8(fb8.mask);
+    const SpikeFiberView view_a8 = fiberView(fa8, rank_a8);
+    const WeightFiberView view_b8 = fiberView(fb8, rank_b8);
     std::vector<std::int32_t> sums8(static_cast<std::size_t>(t8), 0);
     std::vector<std::int64_t> corr8(static_cast<std::size_t>(t8), 0);
 
@@ -851,7 +855,7 @@ runKernelBench(bool quick, std::uint64_t seed,
         seq_s += seconds_since(t_seq);
         const auto t_fused = Clock::now();
         for (int i = 0; i < t8_batch_iters; ++i) {
-            fusedTemporalJoin(fa8, rank_a8, fb8, rank_b8, t8,
+            fusedTemporalJoin(view_a8, view_b8, t8,
                               /*collapse=*/false, sums8.data(),
                               corr8.data());
             sums_sink -= sums8[0];
@@ -866,33 +870,25 @@ runKernelBench(bool quick, std::uint64_t seed,
                          t8_iters / fused_s);
     metrics.emplace_back("join_fused_speedup_t8", seq_s / fused_s);
 
-    // --- Per-ISA join throughput (loas-kernels/3): the same workloads
-    // forced to the scalar ISA, so bench history tracks what the AVX2
-    // fused kernels buy. The LoAS join has no vector path, so its
-    // scalar row times the same scan again. simd_speedup is
-    // informational in bench_compare — it reflects the runner's ISA,
-    // not a code regression by itself — and is ~1.0 when the ISA
-    // already resolved to scalar.
+    // --- Scalar fused-join throughput: the T=8 workload forced to the
+    // scalar ISA, so bench history tracks what the AVX2 fused kernels
+    // buy (the LoAS join has no vector path, so it has no scalar row).
+    // simd_speedup is informational in bench_compare — it reflects
+    // the runner's ISA, not a code regression by itself — and is ~1.0
+    // when the ISA already resolved to scalar.
     const kernels::Isa bench_isa = kernels::resolvedIsa();
     const std::int32_t fused_sum0 = sums8[0];
     kernels::setIsa(kernels::Isa::Scalar);
-    const auto t_sjoin = Clock::now();
-    std::uint64_t smatches = 0;
-    for (int i = 0; i < join_iters; ++i)
-        smatches += unit.join(fa, rank_a, fb, rank_b, scratch).matches;
-    const double sjoin_s = seconds_since(t_sjoin);
     const auto t_sfused = Clock::now();
     for (int i = 0; i < t8_iters; ++i)
-        fusedTemporalJoin(fa8, rank_a8, fb8, rank_b8, t8,
+        fusedTemporalJoin(view_a8, view_b8, t8,
                           /*collapse=*/false, sums8.data(),
                           corr8.data());
     const double sfused_s = seconds_since(t_sfused);
     kernels::setIsa(bench_isa);
-    if (smatches != matches || sums8[0] != fused_sum0)
+    if (sums8[0] != fused_sum0)
         throw std::runtime_error(
-            "scalar join disagrees with the resolved-ISA join");
-    metrics.emplace_back("join_scalar_calls_per_s",
-                         join_iters / sjoin_s);
+            "scalar fused join disagrees with the resolved-ISA join");
     metrics.emplace_back("join_fused_t8_scalar_calls_per_s",
                          t8_iters / sfused_s);
     metrics.emplace_back("simd_speedup", sfused_s / fused_s);
